@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import graded_half_integral, refine_until
+from .quadrature import graded_coefficient, periodic_mesh, refine_until, trig_mesh
 
 #: imaginary residue above this fraction of the magnitude trips the
 #: Hermitian-symmetry assertion when real values are extracted
@@ -37,6 +37,9 @@ class ChainParams:
     spacing: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "omega1", "spacing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.omega1 <= 0.0:
             raise ValueError("omega1 must be positive")
         if self.omega0 < 0.0:
@@ -83,6 +86,10 @@ class LatticeState:
             raise ValueError("q and p must be 1-d arrays of equal length")
         if len(q) == 0:
             raise ValueError("state must have at least one site")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("q must be finite")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("p must be finite")
         q = q.copy()
         p = p.copy()
         q.setflags(write=False)
@@ -238,7 +245,7 @@ def _fourier_coefficient(
     n_max: int = 1 << 22,
 ) -> complex:
     def at(n: int) -> complex:
-        lam = 2.0 * np.pi * np.arange(n) / n
+        lam = periodic_mesh(n)
         return complex(np.mean(fun(lam) * np.exp(-1j * k * lam)))
 
     return refine_until(at, n_start, tolerance, n_max)
@@ -255,42 +262,17 @@ def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
         qc = np.fft.fft(spectrum.grid_q)[k % n] / n
         pc = np.fft.fft(spectrum.grid_p)[k % n] / n
     elif spectrum.singular_endpoints:
-        qc = _singular_coefficient(spectrum.q_fun, k)
-        pc = _singular_coefficient(spectrum.p_fun, k)
+        n0 = max(1 << 10, trig_mesh(k))
+        qc = graded_coefficient(spectrum.q_fun, k, n0, 1e-10, 1 << 24)
+        pc = graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24)
     else:
-        n0 = 1 << max(6, int(math.ceil(math.log2(8.0 * (abs(k) + 16.0)))))
+        n0 = max(1 << 6, trig_mesh(k))
         qc = _fourier_coefficient(spectrum.q_fun, k, n0)
         pc = _fourier_coefficient(spectrum.p_fun, k, n0)
     return (
         _extract_real(qc, f"inverse_transform q_{k}"),
         _extract_real(pc, f"inverse_transform p_{k}"),
     )
-
-
-def _singular_coefficient(
-    fun: Callable[[np.ndarray], np.ndarray],
-    k: int,
-    tolerance: float = 1e-10,
-    n_max: int = 1 << 24,
-) -> complex:
-    """Coefficient extraction for endpoint-singular spectra.
-
-    Splits [0, 2pi] at pi and applies the graded map from each singular
-    endpoint; e^{-ik lam} rides along unchanged.
-    """
-
-    def at(n: int) -> complex:
-        left = graded_half_integral(
-            lambda lam: fun(lam) * np.exp(-1j * k * lam), n
-        )
-        right = graded_half_integral(
-            lambda lam: fun(2.0 * np.pi - lam) * np.exp(-1j * k * (2.0 * np.pi - lam)),
-            n,
-        )
-        return (left + right) / (2.0 * np.pi)
-
-    n0 = 1 << max(10, int(math.ceil(math.log2(8.0 * (abs(k) + 16.0)))))
-    return refine_until(at, n0, tolerance, n_max)
 
 
 def energy(state: LatticeState, params: ChainParams) -> float:

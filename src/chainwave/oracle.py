@@ -30,15 +30,12 @@ class OracleConfig:
 
     radius: int
     dt: float
-    boundary: str = "fixed-zero"
 
     def __post_init__(self) -> None:
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.boundary != "fixed-zero":
-            raise ValueError("only fixed-zero boundaries are supported")
+        if not 1 <= self.radius < math.inf:
+            raise ValueError("radius must be finite and >= 1")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 def required_radius(k_max: int, t_final: float, params: ChainParams) -> int:
@@ -96,10 +93,10 @@ def integrate_snapshots(
     requested times and results are deterministic for a given config.
     """
     times = [float(t) for t in times]
-    if any(t < 0.0 for t in times) or any(
+    if not all(0.0 <= t < math.inf for t in times) or any(
         b < a for a, b in zip(times, times[1:])
     ):
-        raise ValueError("times must be nonnegative and nondecreasing")
+        raise ValueError("times must be finite, nonnegative and nondecreasing")
     _check_preconditions(state, params, cfg)
 
     n = 2 * cfg.radius + 1

@@ -13,6 +13,7 @@ Three families cover every integral in the package:
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -23,22 +24,29 @@ class ConvergenceError(RuntimeError):
 
 
 def refine_until(
-    evaluate: Callable[[int], complex],
+    evaluate: Callable[[int], complex | np.ndarray],
     n_start: int,
     tolerance: float,
     n_max: int,
-) -> complex:
+) -> complex | np.ndarray:
     """Double ``n`` until two successive evaluations agree to ``tolerance``.
 
-    ``evaluate(n)`` must return the quadrature value at resolution ``n``.
-    Returns the finer of the last two values.
+    ``evaluate(n)`` must return the quadrature value at resolution ``n``,
+    a scalar or an array; two values agree when their largest absolute
+    difference is below ``tolerance``.  Returns the finer of the last two
+    values.  A start that leaves no doubling within ``n_max`` can never
+    converge and raises before anything is evaluated.
     """
+    if 2 * n_start > n_max:
+        raise ConvergenceError(
+            f"starting mesh {n_start} leaves no doubling within n_max={n_max}"
+        )
     value = evaluate(n_start)
     n = n_start
     while 2 * n <= n_max:
         n *= 2
         refined = evaluate(n)
-        if abs(refined - value) < tolerance:
+        if np.max(np.abs(refined - value)) < tolerance:
             return refined
         value = refined
     raise ConvergenceError(
@@ -46,14 +54,19 @@ def refine_until(
     )
 
 
+def trig_mesh(k: int, phase: float = 0.0) -> int:
+    """Starting mesh of the uniform trapezoid route.
+
+    The power of two at or above 8 (|k| + phase/pi + 16): enough nodes per
+    oscillation of e^{-ik lam} times a factor whose phase varies by up to
+    ``phase`` (t * omega0' for the evolved spectrum) over the period.
+    """
+    return 1 << math.ceil(math.log2(8.0 * (abs(k) + phase / math.pi + 16.0)))
+
+
 def periodic_mesh(n: int) -> np.ndarray:
     """Uniform nodes lam_j = 2 pi j / n, j = 0..n-1 (left endpoints)."""
     return 2.0 * np.pi * np.arange(n) / n
-
-
-def periodic_mean(values: np.ndarray) -> complex:
-    """Trapezoid value of (1/2pi) * integral over one period from uniform samples."""
-    return complex(np.mean(values))
 
 
 def graded_mesh(n: int, grade: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +100,37 @@ def graded_half_integral(
     vals = np.zeros(len(u), dtype=complex)
     vals[1:] = integrand(lam[1:]) * jac[1:]
     return complex(np.trapezoid(vals, u))
+
+
+def graded_mesh_start(k: int, phase: float) -> int:
+    """Starting mesh of the graded route: the power of two at or above
+    4 (|k| + phase + 64), with ``phase`` = t * omega0' as in ``trig_mesh``."""
+    return 1 << math.ceil(math.log2(4.0 * (abs(k) + phase + 64.0)))
+
+
+def graded_coefficient(
+    fun: Callable[[np.ndarray], np.ndarray],
+    k: int,
+    n_start: int,
+    tolerance: float,
+    n_max: int,
+) -> complex:
+    """(1/2pi) int_0^{2pi} f(lam) e^{-ik lam} dlam for f singular at lam in {0, 2pi}.
+
+    Splits the period at pi and grades each half from its singular
+    endpoint; e^{-ik lam} rides along unchanged.  Meshes double through
+    ``refine_until``.
+    """
+
+    def at(n: int) -> complex:
+        left = graded_half_integral(lambda lam: fun(lam) * np.exp(-1j * k * lam), n)
+        right = graded_half_integral(
+            lambda lam: fun(2.0 * np.pi - lam) * np.exp(-1j * k * (2.0 * np.pi - lam)),
+            n,
+        )
+        return (left + right) / (2.0 * np.pi)
+
+    return refine_until(at, n_start, tolerance, n_max)
 
 
 def tanh_sinh_pairs(level: int, u_max: float = 5.0) -> tuple[np.ndarray, np.ndarray]:

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    IMAG_RESIDUE_TOL,
-    ChainParams,
-    SpectralPair,
-    _extract_real,
-    dispersion,
+from .model import ChainParams, SpectralPair, _extract_real, dispersion
+from .quadrature import (
+    ConvergenceError,
+    graded_coefficient,
+    graded_mesh_start,
+    periodic_mesh,
+    refine_until,
+    trig_mesh,
 )
-from .quadrature import ConvergenceError, graded_half_integral, refine_until
 
 #: series/direct switch for sin(t omega)/omega
 _SINC_SWITCH = 1e-2
@@ -54,25 +55,20 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mesh_points < 16 or self.mesh_points & (self.mesh_points - 1):
             raise ValueError("mesh_points must be a power of two >= 16")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_mesh < self.mesh_points:
-            raise ValueError("max_mesh must be >= mesh_points")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if not self.mesh_points <= self.max_mesh < math.inf:
+            raise ValueError("max_mesh must be finite and >= mesh_points")
 
 
 @dataclass(frozen=True)
 class SolutionGrid:
-    """q values on a (times x sites) grid; row-major over times.
-
-    ``p_values`` (momentum companion) is carried only when a caller
-    supplies it; no shipped check needs evolved momenta.
-    """
+    """q values on a (times x sites) grid; row-major over times."""
 
     params: ChainParams
     times: tuple[float, ...]
     sites: tuple[int, ...]
     values: np.ndarray
-    p_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -128,8 +124,8 @@ def sinc_kernel(t: float, omega: float | np.ndarray) -> float | np.ndarray:
 
 def evolve_spectrum(spectrum: SpectralPair, params: ChainParams, t: float):
     """Return lam -> Q(lam) cos(t omega) + P(lam) sin(t omega)/omega."""
-    if t < 0.0:
-        raise ValueError("evolve_spectrum requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("evolve_spectrum requires finite t >= 0")
 
     def evolved(lam: np.ndarray) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -137,12 +133,6 @@ def evolve_spectrum(spectrum: SpectralPair, params: ChainParams, t: float):
         return spectrum.Q(lam) * np.cos(t * om) + spectrum.P(lam) * sinc_kernel(t, om)
 
     return evolved
-
-
-def mesh_rule(params: ChainParams, t: float, k_max: int) -> int:
-    """Power-of-two mesh resolving |k| + t * omega0'/pi oscillations with headroom."""
-    budget = 8.0 * (abs(k_max) + t * params.omega0_prime / math.pi + 16.0)
-    return 1 << int(math.ceil(math.log2(budget)))
 
 
 def _mesh_eval(
@@ -153,7 +143,7 @@ def _mesh_eval(
     Trig pairs are synthesized by a zero-padded inverse FFT instead of a
     dense sum; this is exact as long as n exceeds the coefficient span.
     """
-    lam = 2.0 * np.pi * np.arange(n) / n
+    lam = periodic_mesh(n)
     om = dispersion(params, lam)
     if spectrum.kind == "trig" and len(spectrum.q_coeffs) < n:
         c_q = np.zeros(n, dtype=complex)
@@ -169,33 +159,6 @@ def _mesh_eval(
     return q_vals * np.cos(t * om) + p_vals * sinc_kernel(t, om)
 
 
-def _singular_solve(
-    spectrum: SpectralPair,
-    params: ChainParams,
-    t: float,
-    k: int,
-    cfg: SolverConfig,
-) -> complex:
-    """Graded-mesh route for endpoint-singular spectra."""
-
-    def integrand(lam: np.ndarray) -> np.ndarray:
-        om = dispersion(params, lam)
-        return (
-            spectrum.Q(lam) * np.cos(t * om) + spectrum.P(lam) * sinc_kernel(t, om)
-        ) * np.exp(-1j * k * lam)
-
-    def at(n: int) -> complex:
-        left = graded_half_integral(integrand, n)
-        right = graded_half_integral(lambda lam: integrand(2.0 * np.pi - lam), n)
-        return (left + right) / (2.0 * np.pi)
-
-    n0 = max(
-        cfg.mesh_points,
-        1 << int(math.ceil(math.log2(4.0 * (abs(k) + t * params.omega0_prime + 64.0)))),
-    )
-    return refine_until(at, n0, cfg.tolerance, cfg.max_mesh)
-
-
 def solve_at(
     spectrum: SpectralPair,
     params: ChainParams,
@@ -205,19 +168,21 @@ def solve_at(
 ) -> float:
     """q_k(t) with absolute error at the configured tolerance."""
     cfg = cfg or SolverConfig()
-    if t < 0.0:
-        raise ValueError("solve_at requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("solve_at requires finite t >= 0")
+    phase = t * params.omega0_prime
     if spectrum.singular_endpoints:
-        value = _singular_solve(spectrum, params, t, k, cfg)
-        return _extract_real(value, f"solve_at(k={k}, t={t})")
+        n0 = max(cfg.mesh_points, graded_mesh_start(k, phase))
+        evolved = evolve_spectrum(spectrum, params, t)
+        value = graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
+    else:
 
-    def at(n: int) -> complex:
-        f = _mesh_eval(spectrum, params, t, n)
-        lam = 2.0 * np.pi * np.arange(n) / n
-        return complex(np.mean(f * np.exp(-1j * k * lam)))
+        def at(n: int) -> complex:
+            f = _mesh_eval(spectrum, params, t, n)
+            return complex(np.mean(f * np.exp(-1j * k * periodic_mesh(n))))
 
-    n0 = max(cfg.mesh_points, mesh_rule(params, t, abs(k)))
-    value = refine_until(at, n0, cfg.tolerance, cfg.max_mesh)
+        n0 = max(cfg.mesh_points, trig_mesh(k, phase))
+        value = refine_until(at, n0, cfg.tolerance, cfg.max_mesh)
     return _extract_real(value, f"solve_at(k={k}, t={t})")
 
 
@@ -238,8 +203,8 @@ def solve_grid(
     sites = sorted({int(k) for k in sites})
     if not times or not sites:
         raise ValueError("times and sites must be non-empty")
-    if any(t < 0.0 for t in times):
-        raise ValueError("solve_grid requires t >= 0")
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("solve_grid requires finite t >= 0")
     k_max = max(abs(sites[0]), abs(sites[-1]))
 
     if spectrum.singular_endpoints:
@@ -261,19 +226,8 @@ def solve_grid(
             coeffs = np.fft.fft(f) / n
             return coeffs[np.mod(site_idx, n)]
 
-        n = max(cfg.mesh_points, mesh_rule(params, t, k_max))
-        value = at(n)
-        while True:
-            if 2 * n > cfg.max_mesh:
-                raise ConvergenceError(
-                    f"grid solve did not stabilize to {cfg.tolerance:g} "
-                    f"within max_mesh={cfg.max_mesh}"
-                )
-            n *= 2
-            refined = at(n)
-            if np.max(np.abs(refined - value)) < cfg.tolerance:
-                return refined
-            value = refined
+        n0 = max(cfg.mesh_points, trig_mesh(k_max, t * params.omega0_prime))
+        return refine_until(at, n0, cfg.tolerance, cfg.max_mesh)
 
     values = np.empty((len(times), len(sites)))
     for i, t in enumerate(times):

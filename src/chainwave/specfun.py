@@ -273,17 +273,6 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     return p * gamma_fn(s)
 
 
-def regularized_lower_gamma(s: float, x: float) -> float:
-    """P(s, x) = gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError("regularized_lower_gamma requires s > 0")
-    if x < 0.0:
-        raise ValueError("regularized_lower_gamma requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    return _igam_series(s, x) if x < s + 1.0 else 1.0 - _igam_cf(s, x)
-
-
 # --------------------------------------------------------------------------
 # Bohmer (generalized Fresnel) sine integral
 # --------------------------------------------------------------------------

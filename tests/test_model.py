@@ -33,6 +33,9 @@ class TestChainParams:
             dict(omega0=0.0, omega1=0.0),
             dict(omega0=-1.0, omega1=1.0),
             dict(omega0=0.0, omega1=1.0, spacing=0.0),
+            dict(omega0=math.nan, omega1=1.0),
+            dict(omega0=0.0, omega1=math.inf),
+            dict(omega0=0.0, omega1=1.0, spacing=math.nan),
         ],
     )
     def test_invalid(self, kwargs):
@@ -206,3 +209,10 @@ class TestImmutability:
         st = model.LatticeState.single_site(0, q=1.0)
         with pytest.raises(ValueError):
             st.q[0] = 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="q must be finite"):
+            model.LatticeState(0, [1.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="p must be finite"):
+            model.LatticeState(0, [1.0, 0.0], [bad, 0.0])

@@ -83,8 +83,23 @@ class TestIntegrate:
     def test_snapshot_times_monotone(self):
         state = model.LatticeState.single_site(0, q=1.0)
         cfg = oracle.OracleConfig(radius=20, dt=1e-2)
+        for times in ([2.0, 1.0], [1.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                oracle.integrate_snapshots(state, UNPINNED, times, cfg)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(radius=0, dt=1e-2),
+            dict(radius=math.inf, dt=1e-2),
+            dict(radius=20, dt=0.0),
+            dict(radius=20, dt=math.nan),
+            dict(radius=20, dt=math.inf),
+        ],
+    )
+    def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
-            oracle.integrate_snapshots(state, UNPINNED, [2.0, 1.0], cfg)
+            oracle.OracleConfig(**kwargs)
 
 
 class TestEnergyDrift:

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from chainwave import bounds, model, solver
+from chainwave import bounds, model, quadrature, solver
 from chainwave.quadrature import ConvergenceError
 
 mp.mp.dps = 30
@@ -151,8 +151,55 @@ class TestSolveAt:
             solver.solve_at(spike(), UNPINNED, 50.0, 0, cfg)
 
     def test_negative_time_rejected(self):
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solver.solve_at(spike(), UNPINNED, t, 0)
+            with pytest.raises(ValueError):
+                solver.solve_grid(spike(), UNPINNED, [1.0, t], [0])
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(mesh_points=48),
+            dict(tolerance=0.0),
+            dict(tolerance=math.nan),
+            dict(tolerance=math.inf),
+            dict(mesh_points=64, max_mesh=32),
+            dict(max_mesh=math.inf),
+        ],
+    )
+    def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            solver.solve_at(spike(), UNPINNED, -1.0, 0)
+            solver.SolverConfig(**kwargs)
+
+
+class TestMeshCap:
+    """A starting mesh past the cap raises before any mesh is evaluated."""
+
+    @pytest.fixture(autouse=True)
+    def no_mesh_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was evaluated")
+
+        monkeypatch.setattr(solver, "_mesh_eval", refuse)
+        monkeypatch.setattr(quadrature, "graded_half_integral", refuse)
+
+    CFG = solver.SolverConfig(max_mesh=1 << 20)
+
+    def test_solve_at_trig(self):
+        with pytest.raises(ConvergenceError):
+            solver.solve_at(spike(), UNPINNED, 1.0, 10**7, self.CFG)
+
+    def test_solve_at_graded(self):
+        alpha = bounds.alpha_spectrum(0.25)
+        with pytest.raises(ConvergenceError):
+            solver.solve_at(alpha, model.ChainParams(0.0, 0.5), 1.0, 10**7, self.CFG)
+
+    def test_solve_grid(self):
+        with pytest.raises(ConvergenceError):
+            solver.solve_grid(spike(), UNPINNED, [1.0], [-(10**7), 0], self.CFG)
 
 
 class TestSolveGrid:
