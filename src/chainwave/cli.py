@@ -7,9 +7,6 @@ specfun-selftest.  Configs are single JSON files; every tolerance is
 explicit in the file (with documented defaults), so a config rerun is
 byte-identical.  Exit codes: 0 all checks passed, 1 a check failed,
 2 invalid config, 3 quadrature did not converge.
-
-Heavy imports happen inside ``run`` so that CHAINWAVE_THREADS can cap the
-BLAS/OpenMP pools before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -17,11 +14,42 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
+
+from .asymptotics import (
+    classify_ray,
+    fit_decay_exponent,
+    fixed_k_asymptote_pinned,
+    fixed_k_asymptote_unpinned,
+    ray_asymptote,
+    ray_geometry,
+)
+from .bounds import (
+    alpha_normalization,
+    alpha_spectrum,
+    energy_sup_bound,
+    epsilon_spectrum,
+    growth_main_integral_gamma,
+    growth_main_integral_quadrature,
+    sqrt_growth_bound,
+)
+from .model import ChainParams, LatticeState, energy, forward_transform
+from .oracle import MAX_STEP_FREQUENCY, OracleConfig, integrate_snapshots, required_radius
+from .quadrature import ConvergenceError, tanh_sinh
+from .reports import summary_path_for, write_csv, write_summary
+from .solver import SolverConfig, solve_at, solve_grid, windowed_sup
+from .specfun import (
+    bohmer_quadrature,
+    bohmer_sine_integral,
+    dirichlet_constant_check,
+    gamma_fn,
+    lower_incomplete_gamma,
+)
 
 _COMMANDS = (
     "simulate",
@@ -31,6 +59,14 @@ _COMMANDS = (
     "growth",
     "specfun-selftest",
 )
+
+
+#: commands whose checks need lattice data; closed forms have singular or
+#: infinite-energy lattice realizations
+_NEEDS_STATE = ("oracle-compare", "bounds-check", "asymptotics")
+
+#: commands that read k_grid
+_NEEDS_SITES = ("simulate", "oracle-compare", "asymptotics")
 
 
 @dataclass
@@ -44,6 +80,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path, out_override: str | None = None) -> "RunConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         command = raw.get("command", "")
         output = out_override or raw.get("output_path") or f"{command or 'run'}.csv"
         return cls(command=command, raw=raw, output_path=output)
@@ -51,8 +89,9 @@ class RunConfig:
 
 def _parse_grid(grid_spec, integer: bool = False) -> list:
     if isinstance(grid_spec, list):
-        return [int(v) if integer else float(v) for v in grid_spec]
-    if isinstance(grid_spec, dict):
+        vals = [float(v) for v in grid_spec]
+        to_int = int
+    elif isinstance(grid_spec, dict):
         start, stop = float(grid_spec["start"]), float(grid_spec["stop"])
         count = int(grid_spec["count"])
         scale = grid_spec.get("scale", "linear")
@@ -67,122 +106,93 @@ def _parse_grid(grid_spec, integer: bool = False) -> list:
             vals = [start * ratio**i for i in range(count)]
         else:
             raise ValueError(f"unknown grid scale {scale!r}")
-        return [int(round(v)) for v in vals] if integer else vals
-    raise ValueError("grid must be a list or a {start, stop, count, scale} object")
+        to_int = round
+    else:
+        raise ValueError("grid must be a list or a {start, stop, count, scale} object")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("grid values must be finite")
+    return [int(to_int(v)) for v in vals] if integer else vals
 
 
 def validate(config: RunConfig) -> list[str]:
-    """All config violations; empty list means the config is runnable."""
-    problems: list[str] = []
+    """All config violations; empty list means the config is runnable.
+
+    Each section is built as the command builds it and the errors of the
+    dataclasses' own checks are collected; only the checks across
+    sections are written out here.
+    """
     raw = config.raw
     if config.command not in _COMMANDS:
-        problems.append(
-            f"unknown command {config.command!r}; expected one of {', '.join(_COMMANDS)}"
-        )
-        return problems
+        return [f"unknown command {config.command!r}; expected one of {', '.join(_COMMANDS)}"]
     if config.command == "specfun-selftest":
-        return problems
+        return []
+    problems: list[str] = []
 
-    params_raw = raw.get("params", {})
-    omega0 = float(params_raw.get("omega0", 0.0))
-    omega1 = float(params_raw.get("omega1", 0.0))
-    if omega1 <= 0.0:
-        problems.append("omega1 must be positive")
-    if omega0 < 0.0:
-        problems.append("omega0 must be nonnegative")
+    def build(section: str, builder, *args):
+        try:
+            return builder(*args)
+        except KeyError as exc:
+            problems.append(f"{section}: missing key {exc}")
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{section}: {exc}")
+        return None
+
+    params = build("params", _build_params, raw)
+    pinned = params is not None and params.pinned
 
     if config.command == "growth":
-        eps = raw.get("epsilon", 0.4)
-        if not 0.0 < float(eps) < 0.5:
+        eps = build("epsilon", float, raw.get("epsilon", 0.4))
+        if eps is not None and not 0.0 < eps < 0.5:
             problems.append("epsilon must lie in (0, 1/2)")
-        if omega0 != 0.0:
+        if pinned:
             problems.append("growth requires omega0 = 0 (unpinned chain)")
         return problems
 
     data = raw.get("initial_data", {})
-    has_state = "state" in data
-    has_closed = "closed_form" in data
-    if has_state == has_closed:
+    if ("state" in data) == ("closed_form" in data):
         problems.append("initial_data must contain exactly one of 'state' or 'closed_form'")
-    if has_closed and config.command in ("oracle-compare", "bounds-check", "asymptotics"):
-        problems.append(
-            f"{config.command} requires inline 'state' data (closed forms have "
-            "singular or infinite-energy lattice realizations)"
-        )
-    if has_closed:
-        cf = data["closed_form"]
-        name = cf.get("name", "")
-        if name == "alpha-family":
-            if not 0.0 < float(cf.get("alpha", -1.0)) < 0.5:
-                problems.append("alpha-family requires alpha in (0, 1/2)")
-        elif name == "epsilon-family":
-            if not 0.0 < float(cf.get("epsilon", -1.0)) < 0.5:
-                problems.append("epsilon-family requires epsilon in (0, 1/2)")
-        else:
-            problems.append(f"unknown closed form {name!r}")
-        if omega0 != 0.0:
-            problems.append(
-                f"{name or 'closed-form data'} is defined for the unpinned chain; "
-                "set omega0 = 0"
-            )
+    else:
+        build("initial_data", _build_spectrum, raw)
+        if "closed_form" in data and config.command in _NEEDS_STATE:
+            problems.append(f"{config.command} requires inline 'state' data")
+        if "closed_form" in data and pinned:
+            problems.append("closed-form data is defined for the unpinned chain; set omega0 = 0")
 
-    try:
-        t_grid = _parse_grid(raw.get("t_grid", []))
-        if not t_grid:
-            problems.append("t_grid must be non-empty")
-    except (KeyError, ValueError) as exc:
-        problems.append(f"bad t_grid: {exc}")
-        t_grid = []
-    try:
-        k_grid = _parse_grid(raw.get("k_grid", []), integer=True)
-        if not k_grid and config.command in ("simulate", "oracle-compare", "asymptotics"):
-            problems.append("k_grid must be non-empty")
-    except (KeyError, ValueError) as exc:
-        problems.append(f"bad k_grid: {exc}")
-        k_grid = []
-
-    solver = raw.get("solver", {})
-    mesh = int(solver.get("mesh_points", 64))
-    if mesh < 16 or mesh & (mesh - 1):
-        problems.append("solver.mesh_points must be a power of two >= 16")
-    if float(solver.get("tolerance", 1e-11)) <= 0.0:
-        problems.append("solver.tolerance must be positive")
-
-    if config.command == "oracle-compare" and omega1 > 0.0:
-        oracle = raw.get("oracle", {})
-        if "radius" not in oracle or "dt" not in oracle:
-            problems.append("oracle-compare requires oracle.radius and oracle.dt")
-        else:
-            radius = int(oracle["radius"])
-            dt = float(oracle["dt"])
-            omega0_prime = math.hypot(omega0, 2.0 * omega1)
-            if dt <= 0.0 or dt * omega0_prime > 0.5:
-                problems.append(
-                    f"oracle.dt violates stability: dt * omega0' must be <= 0.5"
-                )
-            if t_grid and k_grid:
-                k_max = max(abs(k) for k in k_grid)
-                t_max = max(t_grid)
-                needed = k_max + int(math.ceil(omega1 * t_max)) + 50
-                if radius < needed:
-                    problems.append(
-                        f"oracle.radius {radius} is below the horizon rule; "
-                        f"minimal admissible radius is {needed}"
-                    )
-
+    regime = raw.get("regime", "fixed-k")
     if config.command == "asymptotics":
-        regime = raw.get("regime", "fixed-k")
         if regime not in ("fixed-k", "ray"):
             problems.append("asymptotics.regime must be 'fixed-k' or 'ray'")
-        if regime == "ray" and float(raw.get("beta", 0.0)) <= 0.0:
-            problems.append("ray asymptotics requires beta > 0")
+        elif regime == "ray":
+            beta = build("beta", float, raw.get("beta", 0.0))
+            if beta is not None and not 0.0 < beta < math.inf:
+                problems.append("ray asymptotics requires finite beta > 0")
 
+    t_grid = build("t_grid", _parse_grid, raw.get("t_grid", []))
+    if t_grid == [] and not (config.command == "asymptotics" and regime == "ray"):
+        problems.append("t_grid must be non-empty")
+    k_grid = build("k_grid", _parse_grid, raw.get("k_grid", []), True)
+    if k_grid == [] and config.command in _NEEDS_SITES:
+        problems.append("k_grid must be non-empty")
+    build("solver", _build_solver_cfg, raw)
+
+    if config.command == "oracle-compare":
+        ocfg = build("oracle", _build_oracle_cfg, raw)
+        if params is not None and ocfg is not None:
+            if ocfg.dt * params.omega0_prime > MAX_STEP_FREQUENCY:
+                problems.append(
+                    f"oracle.dt violates stability: dt * omega0' must be <= {MAX_STEP_FREQUENCY}"
+                )
+            if t_grid and k_grid:
+                needed = required_radius(max(abs(k) for k in k_grid), max(t_grid), params)
+                if ocfg.radius < needed:
+                    problems.append(
+                        f"oracle.radius {ocfg.radius} is below the horizon rule; "
+                        f"minimal admissible radius is {needed}"
+                    )
     return problems
 
 
-def _build_params(raw: dict):
-    from .model import ChainParams
-
+def _build_params(raw: dict) -> ChainParams:
     p = raw.get("params", {})
     return ChainParams(
         omega0=float(p.get("omega0", 0.0)),
@@ -192,22 +202,19 @@ def _build_params(raw: dict):
 
 
 def _build_spectrum(raw: dict):
-    from . import bounds
-    from .model import LatticeState, forward_transform
-
     data = raw["initial_data"]
     if "state" in data:
         state = LatticeState.from_dict(data["state"])
         return forward_transform(state), state
     cf = data["closed_form"]
     if cf["name"] == "alpha-family":
-        return bounds.alpha_spectrum(float(cf["alpha"])), None
-    return bounds.epsilon_spectrum(float(cf["epsilon"])), None
+        return alpha_spectrum(float(cf["alpha"])), None
+    if cf["name"] == "epsilon-family":
+        return epsilon_spectrum(float(cf["epsilon"])), None
+    raise ValueError(f"unknown closed form {cf['name']!r}")
 
 
-def _build_solver_cfg(raw: dict):
-    from .solver import SolverConfig
-
+def _build_solver_cfg(raw: dict) -> SolverConfig:
     s = raw.get("solver", {})
     return SolverConfig(
         mesh_points=int(s.get("mesh_points", 64)),
@@ -216,9 +223,12 @@ def _build_solver_cfg(raw: dict):
     )
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[list, dict, bool]:
-    from .solver import solve_grid
+def _build_oracle_cfg(raw: dict) -> OracleConfig:
+    o = raw["oracle"]
+    return OracleConfig(radius=int(o["radius"]), dt=float(o["dt"]))
 
+
+def _cmd_simulate(config: RunConfig) -> tuple[list, dict, bool]:
     raw = config.raw
     params = _build_params(raw)
     spectrum, _ = _build_spectrum(raw)
@@ -235,20 +245,13 @@ def _cmd_simulate(config: RunConfig) -> tuple[list, dict, bool]:
 
 
 def _cmd_oracle_compare(config: RunConfig) -> tuple[list, dict, bool]:
-    from .model import LatticeState
-    from .oracle import OracleConfig, integrate_snapshots
-    from .reports import write_csv
-    from .solver import solve_grid
-
     raw = config.raw
     params = _build_params(raw)
     spectrum, state = _build_spectrum(raw)
-    if state is None:
-        raise ValueError("oracle-compare requires inline state data")
     cfg = _build_solver_cfg(raw)
     times = sorted(_parse_grid(raw["t_grid"]))
     sites = sorted({int(k) for k in _parse_grid(raw["k_grid"], integer=True)})
-    ocfg = OracleConfig(radius=int(raw["oracle"]["radius"]), dt=float(raw["oracle"]["dt"]))
+    ocfg = _build_oracle_cfg(raw)
     tol = float(raw.get("tolerances", {}).get("oracle_match", 1e-6))
 
     grid = solve_grid(spectrum, params, times, sites, cfg)
@@ -271,10 +274,6 @@ def _cmd_oracle_compare(config: RunConfig) -> tuple[list, dict, bool]:
 
 
 def _cmd_bounds_check(config: RunConfig) -> tuple[list, dict, bool]:
-    from .bounds import energy_sup_bound, sqrt_growth_bound
-    from .model import energy
-    from .solver import windowed_sup
-
     raw = config.raw
     params = _build_params(raw)
     spectrum, state = _build_spectrum(raw)
@@ -286,13 +285,9 @@ def _cmd_bounds_check(config: RunConfig) -> tuple[list, dict, bool]:
     for t in times:
         m = windowed_sup(spectrum, params, t, cfg)
         if params.pinned:
-            if state is None:
-                raise ValueError("energy bound requires inline state data")
             bound_name = "energy-sup"
             bound = energy_sup_bound(params, energy(state, params))
         else:
-            if state is None:
-                raise ValueError("bounds-check requires inline state data")
             bound_name = "sqrt-growth"
             bound = sqrt_growth_bound(t, state.q_norm(), state.p_norm(), params)
         residual = bound - m
@@ -304,16 +299,6 @@ def _cmd_bounds_check(config: RunConfig) -> tuple[list, dict, bool]:
 
 
 def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
-    from .asymptotics import (
-        classify_ray,
-        fit_decay_exponent,
-        fixed_k_asymptote_pinned,
-        fixed_k_asymptote_unpinned,
-        ray_asymptote,
-        ray_geometry,
-    )
-    from .solver import solve_at
-
     raw = config.raw
     params = _build_params(raw)
     spectrum, _ = _build_spectrum(raw)
@@ -370,12 +355,6 @@ def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
 
 
 def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
-    from .bounds import (
-        growth_main_integral_gamma,
-        growth_main_integral_quadrature,
-    )
-    from .specfun import gamma_fn, lower_incomplete_gamma
-
     raw = config.raw
     params = _build_params(raw)
     eps = float(raw.get("epsilon", 0.4))
@@ -403,9 +382,6 @@ def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
 
     stress = raw.get("full_chain")
     if stress:
-        from .bounds import epsilon_spectrum
-        from .solver import SolverConfig, solve_at
-
         t_stress = float(stress.get("t", 1e6))
         rel_tol = float(stress.get("rel_tol", 0.1))
         cfg = SolverConfig(
@@ -430,17 +406,6 @@ def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
 
 
 def _cmd_specfun_selftest(config: RunConfig) -> tuple[list, dict, bool]:
-    from .bounds import alpha_normalization
-    from .quadrature import tanh_sinh
-    from .specfun import (
-        bohmer_quadrature,
-        bohmer_sine_integral,
-        dirichlet_constant_check,
-        gamma_fn,
-    )
-
-    import numpy as np
-
     rows = []
 
     def check(name: str, value: float, reference: float, tol: float) -> bool:
@@ -491,10 +456,7 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
-    from .quadrature import ConvergenceError
-    from .reports import summary_path_for, write_csv, write_summary
-
+    """Validate and execute a config; returns the process exit code."""
     problems = validate(config)
     if problems:
         for p in problems:
@@ -524,12 +486,6 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("CHAINWAVE_THREADS")
-    if threads:
-        # must land before numpy initializes its thread pools
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="chainwave",
         description="Harmonic-chain spectral solver, bound checks and asymptotics",
@@ -539,7 +495,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="override the output CSV path")
     args = parser.parse_args(argv)
 
-    config = RunConfig.from_file(args.config, out_override=args.out)
+    try:
+        config = RunConfig.from_file(args.config, out_override=args.out)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     if config.raw.get("command") not in (None, args.command):
         print(
             f"config error: config file declares command "

@@ -66,6 +66,41 @@ class TestValidate:
         cfg["t_grid"] = []
         assert any("t_grid" in p for p in self._problems(cfg))
 
+    def test_ray_regime_reads_no_t_grid(self, tmp_path):
+        cfg = base_simulate(tmp_path / "o.csv")
+        cfg.update(command="asymptotics", regime="ray", beta=3.0, t_grid=[])
+        assert self._problems(cfg) == []
+
+
+VALID = json.dumps(base_simulate("o.csv"))
+
+
+class TestMalformedConfig:
+    """A config that cannot be read or built exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (VALID[:-5], "line 1"),
+            (None, "No such file"),
+            ("[1, 2]", "JSON object"),
+            (VALID.replace('"p": [0.0]', '"x": [0.0]'), "missing key 'p'"),
+            (VALID.replace('"omega0": 0.0', '"omega0": NaN'), "omega0 must be finite"),
+            (VALID.replace('"q": [1.0]', '"q": [Infinity]'), "q must be finite"),
+            (VALID.replace("[0.0, 1.0]", "[0.0, NaN]"), "t_grid: grid values must be finite"),
+        ],
+        ids=["truncated", "missing-file", "not-object", "missing-key", "nan", "inf", "nan-time"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert message in err
+
 
 class TestSimulate:
     def test_zero_data_produces_zero_csv(self, tmp_path):
