@@ -145,12 +145,16 @@ def ray_asymptote(
 ) -> float:
     """Leading term of q_k(beta |k|) on a supersonic ray.
 
-    (1/sqrt|k|) (F+[Q] - i F-[P/omega]) with
-    F_pm[g] = sum_branches c (g(mu) e^{i omega(k)} +/- g(-mu) e^{-i omega(k)});
-    real for Hermitian-symmetric spectra.
+    (1/sqrt|k|) sum_branches c (F+[Q] - i F-[P/omega]) with
+    F_pm[g] = g(-s mu) e^{i omega(|k|)} +/- g(s mu) e^{-i omega(|k|)},
+    s = sign(k).  For k > 0 the e^{i omega} wave is stationary at -mu, the
+    critical point of lam - beta omega(lam); q_k for k < 0 is q_|k| of the
+    reflected data Q(lam) -> Q(-lam), which swaps the two points.  Real for
+    Hermitian-symmetric spectra.
     """
     if k == 0:
         raise ValueError("ray_asymptote requires k != 0")
+    s = 1.0 if k > 0 else -1.0
     total = 0.0 + 0.0j
     for branch, mu, om_mu, c in (
         (+1, geo.mu_plus, geo.omega_mu_plus, geo.c_plus),
@@ -158,12 +162,12 @@ def ray_asymptote(
     ):
         if c == 0.0:
             continue
-        w = geo.phase(branch, k)
+        w = geo.phase(branch, abs(k))
         rot = complex(math.cos(w), math.sin(w))
-        q_here, q_there = spectrum.Q(mu), spectrum.Q(-mu)
-        p_here, p_there = spectrum.P(mu) / om_mu, spectrum.P(-mu) / om_mu
-        total += c * (q_here * rot + q_there * rot.conjugate())
-        total += -1j * c * (p_here * rot - p_there * rot.conjugate())
+        q_pos, q_neg = spectrum.Q(-s * mu), spectrum.Q(s * mu)
+        p_pos, p_neg = spectrum.P(-s * mu) / om_mu, spectrum.P(s * mu) / om_mu
+        total += c * (q_pos * rot + q_neg * rot.conjugate())
+        total += -1j * c * (p_pos * rot - p_neg * rot.conjugate())
     value = total / math.sqrt(abs(k))
     return _extract_real(value, f"ray_asymptote(k={k})")
 

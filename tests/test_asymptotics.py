@@ -108,6 +108,24 @@ class TestRayAsymptote:
         expected /= math.sqrt(k)
         assert asym.ray_asymptote(spectrum, geo, k, PINNED) == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "state, k, exact",
+        [
+            (model.LatticeState.single_site(1, q=1.0), 2000, -2.9045e-3),
+            (model.LatticeState.single_site(1, q=1.0), -2000, 4.3889e-3),
+            (model.LatticeState(-1, [0.5, 1.0, 0.5], [0.2, -0.3, 0.2]), -2000, 3.6867e-3),
+        ],
+        ids=["off-center-k-positive", "off-center-k-negative", "symmetric-k-negative"],
+    )
+    def test_matches_exact_at_large_k(self, state, k, exact):
+        # the k^(-3/2) remainder is ~2e-6 here; pairing a stationary
+        # point with the wrong wave is off by ~5e-3
+        geo = asym.ray_geometry(3.0, PINNED)
+        spectrum = model.forward_transform(state)
+        solved = solver.solve_at(spectrum, PINNED, 3.0 * abs(k), k, TIGHT)
+        assert solved == pytest.approx(exact, abs=1e-7)
+        assert asym.ray_asymptote(spectrum, geo, k, PINNED) == pytest.approx(solved, abs=1e-5)
+
     def test_k_zero_rejected(self):
         geo = asym.ray_geometry(3.0, PINNED)
         with pytest.raises(ValueError):
