@@ -87,6 +87,16 @@ class RunConfig:
         return cls(command=command, raw=raw, output_path=output)
 
 
+def _section(parent: dict, key: str) -> dict:
+    """parent[key] as a JSON object; an absent or null key reads as empty."""
+    value = parent.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object")
+    return value
+
+
 def _parse_grid(grid_spec, integer: bool = False) -> list:
     if isinstance(grid_spec, list):
         vals = [float(v) for v in grid_spec]
@@ -134,7 +144,8 @@ def validate(config: RunConfig) -> list[str]:
         except KeyError as exc:
             problems.append(f"{section}: missing key {exc}")
         except (TypeError, ValueError) as exc:
-            problems.append(f"{section}: {exc}")
+            message = str(exc)
+            problems.append(message if message.startswith(section) else f"{section}: {message}")
         return None
 
     params = build("params", _build_params, raw)
@@ -193,7 +204,7 @@ def validate(config: RunConfig) -> list[str]:
 
 
 def _build_params(raw: dict) -> ChainParams:
-    p = raw.get("params", {})
+    p = _section(raw, "params")
     return ChainParams(
         omega0=float(p.get("omega0", 0.0)),
         omega1=float(p["omega1"]),
@@ -202,11 +213,11 @@ def _build_params(raw: dict) -> ChainParams:
 
 
 def _build_spectrum(raw: dict):
-    data = raw["initial_data"]
+    data = _section(raw, "initial_data")
     if "state" in data:
-        state = LatticeState.from_dict(data["state"])
+        state = LatticeState.from_dict(_section(data, "state"))
         return forward_transform(state), state
-    cf = data["closed_form"]
+    cf = _section(data, "closed_form")
     if cf["name"] == "alpha-family":
         return alpha_spectrum(float(cf["alpha"])), None
     if cf["name"] == "epsilon-family":
@@ -215,7 +226,7 @@ def _build_spectrum(raw: dict):
 
 
 def _build_solver_cfg(raw: dict) -> SolverConfig:
-    s = raw.get("solver", {})
+    s = _section(raw, "solver")
     return SolverConfig(
         mesh_points=int(s.get("mesh_points", 64)),
         tolerance=float(s.get("tolerance", 1e-11)),
@@ -224,7 +235,7 @@ def _build_solver_cfg(raw: dict) -> SolverConfig:
 
 
 def _build_oracle_cfg(raw: dict) -> OracleConfig:
-    o = raw["oracle"]
+    o = _section(raw, "oracle")
     return OracleConfig(radius=int(o["radius"]), dt=float(o["dt"]))
 
 
@@ -252,7 +263,7 @@ def _cmd_oracle_compare(config: RunConfig) -> tuple[list, dict, bool]:
     times = sorted(_parse_grid(raw["t_grid"]))
     sites = sorted({int(k) for k in _parse_grid(raw["k_grid"], integer=True)})
     ocfg = _build_oracle_cfg(raw)
-    tol = float(raw.get("tolerances", {}).get("oracle_match", 1e-6))
+    tol = float(_section(raw, "tolerances").get("oracle_match", 1e-6))
 
     grid = solve_grid(spectrum, params, times, sites, cfg)
     snapshots = integrate_snapshots(state, params, times, ocfg)
@@ -344,7 +355,7 @@ def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
         if kind == "supersonic":
             ok = scaled[-1] <= scaled[0] + 1e-12
         elif kind == "subsonic":
-            floor = float(raw.get("tolerances", {}).get("subsonic_floor", 1e-6))
+            floor = float(_section(raw, "tolerances").get("subsonic_floor", 1e-6))
             ok = abs(values[-1]) <= floor
         else:
             fit = fit_decay_exponent(sites, values)
@@ -360,7 +371,7 @@ def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
     eps = float(raw.get("epsilon", 0.4))
     delta = eps + 0.5
     times = sorted(_parse_grid(raw.get("t_grid", [10.0, 100.0, 1000.0])))
-    identity_tol = float(raw.get("tolerances", {}).get("identity_rel", 1e-8))
+    identity_tol = float(_section(raw, "tolerances").get("identity_rel", 1e-8))
     rows = []
     ok = True
     worst = 0.0
@@ -380,7 +391,7 @@ def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
         "limit_value": gamma_fn(delta) / math.sqrt(2.0 * params.omega1),
     }
 
-    stress = raw.get("full_chain")
+    stress = _section(raw, "full_chain")
     if stress:
         t_stress = float(stress.get("t", 1e6))
         rel_tol = float(stress.get("rel_tol", 0.1))

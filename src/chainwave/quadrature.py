@@ -55,12 +55,9 @@ def refine_until(
 
 
 def trig_mesh(k: int, phase: float = 0.0) -> int:
-    """Starting mesh of the uniform trapezoid route.
-
-    The power of two at or above 8 (|k| + phase/pi + 16): enough nodes per
-    oscillation of e^{-ik lam} times a factor whose phase varies by up to
-    ``phase`` (t * omega0' for the evolved spectrum) over the period.
-    """
+    """Starting mesh of the uniform trapezoid route: the power of two at or
+    above 8 (|k| + phase/pi + 16), ``phase`` being the largest phase
+    t * omega0' of the time factor (0 for the initial data alone)."""
     return 1 << math.ceil(math.log2(8.0 * (abs(k) + phase / math.pi + 16.0)))
 
 

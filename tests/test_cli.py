@@ -88,8 +88,13 @@ class TestMalformedConfig:
             (VALID.replace('"omega0": 0.0', '"omega0": NaN'), "omega0 must be finite"),
             (VALID.replace('"q": [1.0]', '"q": [Infinity]'), "q must be finite"),
             (VALID.replace("[0.0, 1.0]", "[0.0, NaN]"), "t_grid: grid values must be finite"),
+            (VALID.replace('"solver"', '"x"').replace('"params": {', '"solver": [], "params": {'),
+             "solver must be a JSON object"),
         ],
-        ids=["truncated", "missing-file", "not-object", "missing-key", "nan", "inf", "nan-time"],
+        ids=[
+            "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
+            "nan-time", "wrong-type",
+        ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "c.json"
