@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, SpectralPair, _extract_real, dispersion
+from .model import ChainParams, SpectralPair, _extract_real, dispersion, require_unpinned
 from .quadrature import gauss_legendre_panels
 from .solver import SolverConfig, solve_at
 from .specfun import bessel_j
@@ -30,11 +30,6 @@ CRITICAL_TOL = 1e-12
 
 #: residual tolerance for the stationary-phase equation h'(mu) = 0
 PHASE_RESIDUAL_TOL = 1e-10
-
-
-def _require_unpinned(params: ChainParams, what: str) -> None:
-    if params.omega0 != 0.0:
-        raise ValueError(f"{what} requires omega0 = 0")
 
 
 def ray_discriminant(beta: float, params: ChainParams) -> float:
@@ -210,7 +205,7 @@ def fixed_k_asymptote_unpinned(
     spectrum: SpectralPair, params: ChainParams, k: int, t: float
 ) -> float:
     """Plateau P(0)/(2 omega1) plus the band-top t^(-1/2) train at 2 omega1."""
-    _require_unpinned(params, "fixed_k_asymptote_unpinned")
+    require_unpinned(params, "fixed_k_asymptote_unpinned")
     if t <= 0.0:
         raise ValueError("requires t > 0")
     w1 = params.omega1
@@ -233,7 +228,7 @@ def bessel_time_integral(k: int, t: float, params: ChainParams) -> float:
     (1/2pi) int_0^{2pi} sin(t omega)/omega e^{-i k lam} dlam and converges
     to 1/(2 omega1) as t grows.
     """
-    _require_unpinned(params, "bessel_time_integral")
+    require_unpinned(params, "bessel_time_integral")
     if t < 0.0:
         raise ValueError("requires t >= 0")
     if t == 0.0:

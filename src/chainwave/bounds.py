@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, LatticeState, SpectralPair
+from .model import ChainParams, LatticeState, SpectralPair, require_unpinned
 from .quadrature import tanh_sinh, tanh_sinh_pairs
 from .specfun import gamma_fn, lower_incomplete_gamma
-
-
-def _require_unpinned(params: ChainParams, what: str) -> None:
-    if params.omega0 != 0.0:
-        raise ValueError(f"{what} requires omega0 = 0")
 
 
 # --------------------------------------------------------------------------
@@ -47,7 +42,7 @@ def sqrt_growth_bound(
     t: float, q_norm: float, p_norm: float, params: ChainParams
 ) -> float:
     """(2/sqrt(omega1)) ||p(0)|| sqrt(t) + ||q(0)|| for the unpinned chain."""
-    _require_unpinned(params, "sqrt_growth_bound")
+    require_unpinned(params, "sqrt_growth_bound")
     if t < 0.0:
         raise ValueError("sqrt_growth_bound requires t >= 0")
     return 2.0 / math.sqrt(params.omega1) * p_norm * math.sqrt(t) + q_norm
@@ -60,7 +55,7 @@ def log_growth_bound(t: float, state: LatticeState, params: ChainParams) -> floa
     test boundedness of M(t) minus this slope part rather than a literal
     inequality.
     """
-    _require_unpinned(params, "log_growth_bound")
+    require_unpinned(params, "log_growth_bound")
     if t < 1.0:
         raise ValueError("log_growth_bound requires t >= 1")
     total_p = abs(float(np.sum(state.p)))
@@ -145,7 +140,6 @@ def alpha_spectrum(alpha: float) -> SpectralPair:
         p_fun=p_fun,
         kind="closed-form",
         singular_endpoints=True,
-        label=f"alpha-family(alpha={alpha:g})",
     )
 
 
@@ -292,7 +286,6 @@ def epsilon_spectrum(
         p_fun=p_fun,
         kind="closed-form",
         singular_endpoints=True,
-        label=f"epsilon-family(epsilon={epsilon:g})",
     )
 
 
@@ -329,7 +322,7 @@ def growth_prediction(t: float, epsilon: float, params: ChainParams) -> float:
     Multiplied by ln^delta(t)/sqrt(t) it converges to
     Gamma(delta)/sqrt(2 omega1).
     """
-    _require_unpinned(params, "growth_prediction")
+    require_unpinned(params, "growth_prediction")
     _check_epsilon(epsilon)
     if t <= 1.0:
         raise ValueError("growth_prediction requires t > 1")

@@ -71,7 +71,7 @@ _NEEDS_SITES = ("simulate", "oracle-compare", "asymptotics")
 
 @dataclass
 class RunConfig:
-    """Parsed and defaulted run configuration."""
+    """A config as read: the command, its raw JSON and the output path."""
 
     command: str
     raw: dict[str, Any]
@@ -100,7 +100,6 @@ def _section(parent: dict, key: str) -> dict:
 def _parse_grid(grid_spec, integer: bool = False) -> list:
     if isinstance(grid_spec, list):
         vals = [float(v) for v in grid_spec]
-        to_int = int
     elif isinstance(grid_spec, dict):
         start, stop = float(grid_spec["start"]), float(grid_spec["stop"])
         count = int(grid_spec["count"])
@@ -116,78 +115,105 @@ def _parse_grid(grid_spec, integer: bool = False) -> list:
             vals = [start * ratio**i for i in range(count)]
         else:
             raise ValueError(f"unknown grid scale {scale!r}")
-        to_int = round
     else:
         raise ValueError("grid must be a list or a {start, stop, count, scale} object")
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("grid values must be finite")
-    return [int(to_int(v)) for v in vals] if integer else vals
+    # a listed site must be an integer; a {start, stop, count} grid is rounded
+    if integer and isinstance(grid_spec, list) and any(v != round(v) for v in vals):
+        raise ValueError("grid values must be integers")
+    return [round(v) for v in vals] if integer else vals
 
 
-def validate(config: RunConfig) -> list[str]:
-    """All config violations; empty list means the config is runnable.
+def _finite(value, low: float, strict: bool = False) -> float:
+    """``value`` as a finite float, at least ``low`` (above it when ``strict``)."""
+    value = float(value)
+    if not (value > low if strict else value >= low) or not math.isfinite(value):
+        raise ValueError(f"must be finite and {'>' if strict else '>='} {low:g}")
+    return value
 
-    Each section is built as the command builds it and the errors of the
-    dataclasses' own checks are collected; only the checks across
-    sections are written out here.
+
+def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
+    """Every input the command uses, each built once, and every config problem.
+
+    Inputs are keyed by config key and are complete only when the problem
+    list is empty.  Each value is built by the dataclass or check the
+    library uses and its errors are collected under the key it came from;
+    only the checks across keys are written out here.
     """
     raw = config.raw
-    if config.command not in _COMMANDS:
-        return [f"unknown command {config.command!r}; expected one of {', '.join(_COMMANDS)}"]
-    if config.command == "specfun-selftest":
-        return []
+    command = config.command
+    if command not in _COMMANDS:
+        return {}, [f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}"]
+    inputs: dict[str, Any] = {}
     problems: list[str] = []
+    if command == "specfun-selftest":
+        return inputs, problems
 
-    def build(section: str, builder, *args):
+    def build(key: str, builder, *args):
         try:
             return builder(*args)
         except KeyError as exc:
-            problems.append(f"{section}: missing key {exc}")
+            problems.append(f"{key}: missing key {exc}")
         except (TypeError, ValueError) as exc:
             message = str(exc)
-            problems.append(message if message.startswith(section) else f"{section}: {message}")
+            problems.append(message if message.startswith(key) else f"{key}: {message}")
         return None
 
-    params = build("params", _build_params, raw)
+    def tolerance(key: str, default: float) -> None:
+        section = build("tolerances", _section, raw, "tolerances") or {}
+        inputs[key] = build(f"tolerances.{key}", _finite, section.get(key, default), 0.0, True)
+
+    params = inputs["params"] = build("params", _build_params, raw)
     pinned = params is not None and params.pinned
 
-    if config.command == "growth":
-        eps = build("epsilon", float, raw.get("epsilon", 0.4))
+    if command == "growth":
+        eps = inputs["epsilon"] = build("epsilon", float, raw.get("epsilon", 0.4))
         if eps is not None and not 0.0 < eps < 0.5:
             problems.append("epsilon must lie in (0, 1/2)")
         if pinned:
             problems.append("growth requires omega0 = 0 (unpinned chain)")
-        return problems
+        inputs["t_grid"] = build("t_grid", _parse_grid, raw.get("t_grid", [10.0, 100.0, 1000.0]))
+        tolerance("identity_rel", 1e-8)
+        inputs["limit_t"] = build("limit_t", _finite, raw.get("limit_t", 1e6), 1.0)
+        stress = build("full_chain", _section, raw, "full_chain")
+        if stress:
+            rel_tol = stress.get("rel_tol", 0.1)
+            inputs["full_chain"] = {
+                "t": build("full_chain.t", _finite, stress.get("t", 1e6), 1.0),
+                "rel_tol": build("full_chain.rel_tol", _finite, rel_tol, 0.0, True),
+                "solver": build("full_chain", _build_stress_cfg, stress),
+            }
+        return inputs, problems
 
-    data = raw.get("initial_data", {})
-    if ("state" in data) == ("closed_form" in data):
-        problems.append("initial_data must contain exactly one of 'state' or 'closed_form'")
-    else:
-        build("initial_data", _build_spectrum, raw)
-        if "closed_form" in data and config.command in _NEEDS_STATE:
-            problems.append(f"{config.command} requires inline 'state' data")
-        if "closed_form" in data and pinned:
+    spectrum, state = build("initial_data", _build_spectrum, raw) or (None, None)
+    inputs.update(spectrum=spectrum, state=state)
+    if spectrum is not None and state is None:  # closed form
+        if command in _NEEDS_STATE:
+            problems.append(f"{command} requires inline 'state' data")
+        if pinned:
             problems.append("closed-form data is defined for the unpinned chain; set omega0 = 0")
 
-    regime = raw.get("regime", "fixed-k")
-    if config.command == "asymptotics":
-        if regime not in ("fixed-k", "ray"):
-            problems.append("asymptotics.regime must be 'fixed-k' or 'ray'")
-        elif regime == "ray":
-            beta = build("beta", float, raw.get("beta", 0.0))
-            if beta is not None and not 0.0 < beta < math.inf:
-                problems.append("ray asymptotics requires finite beta > 0")
+    regime = inputs["regime"] = raw.get("regime", "fixed-k")
+    ray = command == "asymptotics" and regime == "ray"
+    if command == "asymptotics" and regime not in ("fixed-k", "ray"):
+        problems.append("asymptotics.regime must be 'fixed-k' or 'ray'")
+    elif ray:
+        inputs["beta"] = build("beta", _finite, raw.get("beta", 0.0), 0.0, True)
+        tolerance("subsonic_floor", 1e-6)
 
-    t_grid = build("t_grid", _parse_grid, raw.get("t_grid", []))
-    if t_grid == [] and not (config.command == "asymptotics" and regime == "ray"):
+    t_grid = inputs["t_grid"] = build("t_grid", _parse_grid, raw.get("t_grid", []))
+    if t_grid == [] and not ray:
         problems.append("t_grid must be non-empty")
-    k_grid = build("k_grid", _parse_grid, raw.get("k_grid", []), True)
-    if k_grid == [] and config.command in _NEEDS_SITES:
+    k_grid = inputs["k_grid"] = build("k_grid", _parse_grid, raw.get("k_grid", []), True)
+    if k_grid == [] and command in _NEEDS_SITES:
         problems.append("k_grid must be non-empty")
-    build("solver", _build_solver_cfg, raw)
+    inputs["solver"] = build("solver", _build_solver_cfg, raw)
 
-    if config.command == "oracle-compare":
-        ocfg = build("oracle", _build_oracle_cfg, raw)
+    if command == "oracle-compare":
+        ocfg = inputs["oracle"] = build("oracle", _build_oracle_cfg, raw)
+        tolerance("oracle_match", 1e-6)
+        inputs["oracle_csv"] = Path(config.output_path).with_suffix(".oracle.csv")
         if params is not None and ocfg is not None:
             if ocfg.dt * params.omega0_prime > MAX_STEP_FREQUENCY:
                 problems.append(
@@ -200,7 +226,12 @@ def validate(config: RunConfig) -> list[str]:
                         f"oracle.radius {ocfg.radius} is below the horizon rule; "
                         f"minimal admissible radius is {needed}"
                     )
-    return problems
+    return inputs, problems
+
+
+def validate(config: RunConfig) -> list[str]:
+    """All config violations; empty list means the config is runnable."""
+    return parse(config)[1]
 
 
 def _build_params(raw: dict) -> ChainParams:
@@ -214,6 +245,8 @@ def _build_params(raw: dict) -> ChainParams:
 
 def _build_spectrum(raw: dict):
     data = _section(raw, "initial_data")
+    if ("state" in data) == ("closed_form" in data):
+        raise ValueError("initial_data must contain exactly one of 'state' or 'closed_form'")
     if "state" in data:
         state = LatticeState.from_dict(_section(data, "state"))
         return forward_transform(state), state
@@ -234,19 +267,23 @@ def _build_solver_cfg(raw: dict) -> SolverConfig:
     )
 
 
+def _build_stress_cfg(stress: dict) -> SolverConfig:
+    return SolverConfig(
+        mesh_points=64,
+        tolerance=float(stress.get("abs_tol", 1e-2)),
+        max_mesh=int(stress.get("max_mesh", 1 << 24)),
+    )
+
+
 def _build_oracle_cfg(raw: dict) -> OracleConfig:
     o = _section(raw, "oracle")
     return OracleConfig(radius=int(o["radius"]), dt=float(o["dt"]))
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[list, dict, bool]:
-    raw = config.raw
-    params = _build_params(raw)
-    spectrum, _ = _build_spectrum(raw)
-    cfg = _build_solver_cfg(raw)
-    times = _parse_grid(raw["t_grid"])
-    sites = _parse_grid(raw["k_grid"], integer=True)
-    grid = solve_grid(spectrum, params, times, sites, cfg)
+def _cmd_simulate(inputs: dict) -> tuple[list, dict, bool]:
+    grid = solve_grid(
+        inputs["spectrum"], inputs["params"], inputs["t_grid"], inputs["k_grid"], inputs["solver"]
+    )
     rows = list(grid.rows())
     summary = {
         "max_abs_q": max((abs(r[2]) for r in rows), default=0.0),
@@ -255,46 +292,30 @@ def _cmd_simulate(config: RunConfig) -> tuple[list, dict, bool]:
     return rows, summary, True
 
 
-def _cmd_oracle_compare(config: RunConfig) -> tuple[list, dict, bool]:
-    raw = config.raw
-    params = _build_params(raw)
-    spectrum, state = _build_spectrum(raw)
-    cfg = _build_solver_cfg(raw)
-    times = sorted(_parse_grid(raw["t_grid"]))
-    sites = sorted({int(k) for k in _parse_grid(raw["k_grid"], integer=True)})
-    ocfg = _build_oracle_cfg(raw)
-    tol = float(_section(raw, "tolerances").get("oracle_match", 1e-6))
+def _cmd_oracle_compare(inputs: dict) -> tuple[list, dict, bool]:
+    params = inputs["params"]
+    times = sorted(inputs["t_grid"])
+    sites = sorted(set(inputs["k_grid"]))
+    tol = inputs["oracle_match"]
 
-    grid = solve_grid(spectrum, params, times, sites, cfg)
-    snapshots = integrate_snapshots(state, params, times, ocfg)
-    rows = []
-    worst = 0.0
-    oracle_rows = []
-    for i, t in enumerate(times):
-        snap = snapshots[i]
-        for j, k in enumerate(sites):
-            exact = float(grid.values[i, j])
-            approx = snap.q_at(k)
-            worst = max(worst, abs(exact - approx))
-            rows.append((t, k, exact))
-            oracle_rows.append((t, k, approx))
-    oracle_path = Path(config.output_path).with_suffix(".oracle.csv")
+    grid = solve_grid(inputs["spectrum"], params, times, sites, inputs["solver"])
+    snapshots = integrate_snapshots(inputs["state"], params, times, inputs["oracle"])
+    rows = list(grid.rows())
+    oracle_rows = [(t, k, snap.q_at(k)) for t, snap in zip(times, snapshots) for k in sites]
+    worst = max((abs(r[2] - o[2]) for r, o in zip(rows, oracle_rows)), default=0.0)
+    oracle_path = inputs["oracle_csv"]
     write_csv(oracle_path, ["t", "k", "q"], oracle_rows)
     summary = {"max_residual": worst, "oracle_csv": str(oracle_path), "tolerance": tol}
     return rows, summary, worst <= tol
 
 
-def _cmd_bounds_check(config: RunConfig) -> tuple[list, dict, bool]:
-    raw = config.raw
-    params = _build_params(raw)
-    spectrum, state = _build_spectrum(raw)
-    cfg = _build_solver_cfg(raw)
-    times = _parse_grid(raw["t_grid"])
+def _cmd_bounds_check(inputs: dict) -> tuple[list, dict, bool]:
+    params, spectrum, state = inputs["params"], inputs["spectrum"], inputs["state"]
     rows = []
     ok = True
     worst_residual = math.inf
-    for t in times:
-        m = windowed_sup(spectrum, params, t, cfg)
+    for t in inputs["t_grid"]:
+        m = windowed_sup(spectrum, params, t, inputs["solver"])
         if params.pinned:
             bound_name = "energy-sup"
             bound = energy_sup_bound(params, energy(state, params))
@@ -309,24 +330,20 @@ def _cmd_bounds_check(config: RunConfig) -> tuple[list, dict, bool]:
     return rows, summary, ok
 
 
-def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
-    raw = config.raw
-    params = _build_params(raw)
-    spectrum, _ = _build_spectrum(raw)
-    cfg = _build_solver_cfg(raw)
-    regime = raw.get("regime", "fixed-k")
+def _cmd_asymptotics(inputs: dict) -> tuple[list, dict, bool]:
+    params, spectrum, cfg = inputs["params"], inputs["spectrum"], inputs["solver"]
+    regime = inputs["regime"]
     rows = []
     summary: dict[str, Any] = {"regime": regime}
     ok = True
 
     if regime == "fixed-k":
-        times = sorted(_parse_grid(raw["t_grid"]))
-        sites = _parse_grid(raw["k_grid"], integer=True)
+        times = sorted(inputs["t_grid"])
         predictor = (
             fixed_k_asymptote_pinned if params.pinned else fixed_k_asymptote_unpinned
         )
         label = "fixed-k-pinned" if params.pinned else "fixed-k-unpinned"
-        for k in sites:
+        for k in inputs["k_grid"]:
             scaled = []
             for t in times:
                 exact = solve_at(spectrum, params, t, k, cfg)
@@ -337,8 +354,8 @@ def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
             ok = ok and scaled[-1] <= scaled[0] + 1e-12
         summary["final_scaled_residual"] = rows[-1][6] if rows else 0.0
     else:
-        beta = float(raw["beta"])
-        sites = sorted({abs(int(k)) for k in _parse_grid(raw["k_grid"], integer=True)})
+        beta = inputs["beta"]
+        sites = sorted({abs(k) for k in inputs["k_grid"]})
         kind = classify_ray(beta, params)
         summary["classification"] = kind
         values = []
@@ -355,8 +372,7 @@ def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
         if kind == "supersonic":
             ok = scaled[-1] <= scaled[0] + 1e-12
         elif kind == "subsonic":
-            floor = float(_section(raw, "tolerances").get("subsonic_floor", 1e-6))
-            ok = abs(values[-1]) <= floor
+            ok = abs(values[-1]) <= inputs["subsonic_floor"]
         else:
             fit = fit_decay_exponent(sites, values)
             summary["fitted_exponent"] = fit.exponent
@@ -365,43 +381,31 @@ def _cmd_asymptotics(config: RunConfig) -> tuple[list, dict, bool]:
     return rows, summary, ok
 
 
-def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
-    raw = config.raw
-    params = _build_params(raw)
-    eps = float(raw.get("epsilon", 0.4))
+def _cmd_growth(inputs: dict) -> tuple[list, dict, bool]:
+    params, eps = inputs["params"], inputs["epsilon"]
     delta = eps + 0.5
-    times = sorted(_parse_grid(raw.get("t_grid", [10.0, 100.0, 1000.0])))
-    identity_tol = float(_section(raw, "tolerances").get("identity_rel", 1e-8))
     rows = []
     ok = True
     worst = 0.0
-    for t in times:
+    for t in sorted(inputs["t_grid"]):
         lhs = growth_main_integral_quadrature(t, delta)
         rhs = growth_main_integral_gamma(t, delta)
         rel = abs(lhs - rhs) / abs(rhs)
         worst = max(worst, rel)
-        ok = ok and rel <= identity_tol
+        ok = ok and rel <= inputs["identity_rel"]
         rows.append((t, delta, lhs, rhs, rel))
-    t_limit = float(raw.get("limit_t", 1e6))
-    gamma_ratio = lower_incomplete_gamma(delta, math.log(t_limit) / 2.0) / gamma_fn(delta)
+    lower = lower_incomplete_gamma(delta, math.log(inputs["limit_t"]) / 2.0)
     summary: dict[str, Any] = {
         "delta": delta,
         "max_identity_rel_err": worst,
-        "gamma_ratio_at_limit_t": gamma_ratio,
+        "gamma_ratio_at_limit_t": lower / gamma_fn(delta),
         "limit_value": gamma_fn(delta) / math.sqrt(2.0 * params.omega1),
     }
 
-    stress = _section(raw, "full_chain")
+    stress = inputs.get("full_chain")
     if stress:
-        t_stress = float(stress.get("t", 1e6))
-        rel_tol = float(stress.get("rel_tol", 0.1))
-        cfg = SolverConfig(
-            mesh_points=64,
-            tolerance=float(stress.get("abs_tol", 1e-2)),
-            max_mesh=int(stress.get("max_mesh", 1 << 24)),
-        )
-        spectrum = epsilon_spectrum(eps)
-        q0 = solve_at(spectrum, params, t_stress, 0, cfg)
+        t_stress = stress["t"]
+        q0 = solve_at(epsilon_spectrum(eps), params, t_stress, 0, stress["solver"])
         ratio = q0 * math.log(t_stress) ** delta / math.sqrt(t_stress)
         target = gamma_fn(delta) / math.sqrt(2.0 * params.omega1)
         rel = abs(ratio - target) / target
@@ -412,11 +416,11 @@ def _cmd_growth(config: RunConfig) -> tuple[list, dict, bool]:
             "target": target,
             "rel_err": rel,
         }
-        ok = ok and rel <= rel_tol
+        ok = ok and rel <= stress["rel_tol"]
     return rows, summary, ok
 
 
-def _cmd_specfun_selftest(config: RunConfig) -> tuple[list, dict, bool]:
+def _cmd_specfun_selftest(inputs: dict) -> tuple[list, dict, bool]:
     rows = []
 
     def check(name: str, value: float, reference: float, tol: float) -> bool:
@@ -467,8 +471,8 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Validate and execute a config; returns the process exit code."""
-    problems = validate(config)
+    """Parse and execute a config; returns the process exit code."""
+    inputs, problems = parse(config)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
@@ -476,7 +480,7 @@ def run(config: RunConfig) -> int:
 
     handler, header = _HANDLERS[config.command]
     try:
-        rows, summary, passed = handler(config)
+        rows, summary, passed = handler(inputs)
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3

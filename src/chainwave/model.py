@@ -12,12 +12,12 @@ omega(lam) = sqrt(omega0^2 + 4 omega1^2 sin^2(lam/2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .quadrature import graded_coefficient, periodic_mesh, refine_until, trig_mesh
+from .quadrature import graded_coefficient, periodic_mesh, trig_coefficient, trig_mesh
 
 #: imaginary residue above this fraction of the magnitude trips the
 #: Hermitian-symmetry assertion when real values are extracted
@@ -55,6 +55,12 @@ class ChainParams:
     @property
     def pinned(self) -> bool:
         return self.omega0 > 0.0
+
+
+def require_unpinned(params: ChainParams, what: str) -> None:
+    """Reject a pinned chain; ``what`` names the formula that needs omega0 = 0."""
+    if params.omega0 != 0.0:
+        raise ValueError(f"{what} requires omega0 = 0")
 
 
 def dispersion(params: ChainParams, lam: float | np.ndarray) -> float | np.ndarray:
@@ -159,7 +165,6 @@ class SpectralPair:
     p_coeffs: np.ndarray | None = None
     grid_q: np.ndarray | None = None
     grid_p: np.ndarray | None = None
-    label: str = ""
 
     def Q(self, lam: float | np.ndarray) -> complex | np.ndarray:
         arr = np.asarray(lam, dtype=float)
@@ -190,7 +195,6 @@ def forward_transform(state: LatticeState) -> SpectralPair:
         support_min=state.support_min,
         q_coeffs=state.q,
         p_coeffs=state.p,
-        label="trig-polynomial",
     )
 
 
@@ -224,7 +228,6 @@ def grid_pair(q_samples: np.ndarray, p_samples: np.ndarray) -> SpectralPair:
         kind="grid",
         grid_q=q_samples,
         grid_p=p_samples,
-        label=f"grid({n})",
     )
 
 
@@ -235,20 +238,6 @@ def _extract_real(value: complex, context: str) -> float:
             "spectral data is not Hermitian-symmetric"
         )
     return value.real
-
-
-def _fourier_coefficient(
-    fun: Callable[[np.ndarray], np.ndarray],
-    k: int,
-    n_start: int,
-    tolerance: float = 1e-12,
-    n_max: int = 1 << 22,
-) -> complex:
-    def at(n: int) -> complex:
-        lam = periodic_mesh(n)
-        return complex(np.mean(fun(lam) * np.exp(-1j * k * lam)))
-
-    return refine_until(at, n_start, tolerance, n_max)
 
 
 def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
@@ -267,8 +256,8 @@ def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
         pc = graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24)
     else:
         n0 = max(1 << 6, trig_mesh(k))
-        qc = _fourier_coefficient(spectrum.q_fun, k, n0)
-        pc = _fourier_coefficient(spectrum.p_fun, k, n0)
+        qc = trig_coefficient(lambda n: spectrum.q_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
+        pc = trig_coefficient(lambda n: spectrum.p_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
     return (
         _extract_real(qc, f"inverse_transform q_{k}"),
         _extract_real(pc, f"inverse_transform p_{k}"),

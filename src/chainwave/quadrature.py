@@ -66,6 +66,25 @@ def periodic_mesh(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def trig_coefficient(
+    sample: Callable[[int], np.ndarray],
+    k: int,
+    n_start: int,
+    tolerance: float,
+    n_max: int,
+) -> complex:
+    """(1/2pi) int_0^{2pi} f(lam) e^{-ik lam} dlam for smooth periodic f.
+
+    ``sample(n)`` returns f on ``periodic_mesh(n)``; the uniform trapezoid
+    mean is refined through ``refine_until``.
+    """
+
+    def at(n: int) -> complex:
+        return complex(np.mean(sample(n) * np.exp(-1j * k * periodic_mesh(n))))
+
+    return refine_until(at, n_start, tolerance, n_max)
+
+
 def graded_mesh(n: int, grade: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and Jacobian for lam = 2 u^grade mapping [0, (pi/2)^(1/grade)] -> [0, pi].
 

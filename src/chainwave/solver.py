@@ -27,6 +27,7 @@ from .quadrature import (
     graded_mesh_start,
     periodic_mesh,
     refine_until,
+    trig_coefficient,
     trig_mesh,
 )
 
@@ -176,13 +177,10 @@ def solve_at(
         evolved = evolve_spectrum(spectrum, params, t)
         value = graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
     else:
-
-        def at(n: int) -> complex:
-            f = _mesh_eval(spectrum, params, t, n)
-            return complex(np.mean(f * np.exp(-1j * k * periodic_mesh(n))))
-
         n0 = max(cfg.mesh_points, trig_mesh(k, phase))
-        value = refine_until(at, n0, cfg.tolerance, cfg.max_mesh)
+        value = trig_coefficient(
+            lambda n: _mesh_eval(spectrum, params, t, n), k, n0, cfg.tolerance, cfg.max_mesh
+        )
     return _extract_real(value, f"solve_at(k={k}, t={t})")
 
 

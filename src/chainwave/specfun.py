@@ -45,6 +45,15 @@ _LANCZOS_COEF = (
 )
 
 
+def _lanczos(x: float) -> tuple[float, float, float]:
+    """(x - 1/2, t, A) with Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^(-t) A, for x >= 1/2."""
+    z = x - 1.0
+    acc = _LANCZOS_COEF[0]
+    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+        acc += c / (z + i)
+    return z + 0.5, z + _LANCZOS_G + 0.5, acc
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function for real ``x`` away from the poles at 0, -1, -2, ..."""
     if x <= 0.0 and x == math.floor(x):
@@ -52,12 +61,8 @@ def gamma_fn(x: float) -> float:
     if x < 0.5:
         # reflection keeps the Lanczos sum on its accurate half-line
         return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    power, t, acc = _lanczos(x)
+    return math.sqrt(2.0 * math.pi) * t**power * math.exp(-t) * acc
 
 
 def log_gamma(x: float) -> float:
@@ -66,12 +71,8 @@ def log_gamma(x: float) -> float:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
+    power, t, acc = _lanczos(x)
+    return 0.5 * math.log(2.0 * math.pi) + power * math.log(t) - t + math.log(acc)
 
 
 # --------------------------------------------------------------------------

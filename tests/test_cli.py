@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chainwave import cli
+from chainwave.bounds import alpha_spectrum
 
 
 def write_config(tmp_path, name, payload):
@@ -73,34 +74,79 @@ class TestValidate:
 
 
 VALID = json.dumps(base_simulate("o.csv"))
+GROWTH = {
+    "command": "growth",
+    "params": {"omega0": 0.0, "omega1": 0.5},
+    "t_grid": [10.0, 100.0],
+    "output_path": "o.csv",
+}
+SUBSONIC_RAY = dict(
+    base_simulate("o.csv"),
+    command="asymptotics",
+    params={"omega0": 1.0, "omega1": 1.0},
+    regime="ray",
+    beta=0.5,
+    k_grid=[16, 32, 64],
+)
+ORACLE = dict(
+    base_simulate("o.csv"),
+    command="oracle-compare",
+    t_grid=[1.0, 3.0],
+    k_grid=list(range(-5, 6)),
+    oracle={"radius": 60, "dt": 5e-4},
+)
+
+
+def variant(base, **changes):
+    """(command, config text) of ``base`` with some keys replaced."""
+    return base["command"], json.dumps({**base, **changes})
 
 
 class TestMalformedConfig:
     """A config that cannot be read or built exits 2 with one line."""
 
     @pytest.mark.parametrize(
-        "text, message",
+        "command, text, message",
         [
-            (VALID[:-5], "line 1"),
-            (None, "No such file"),
-            ("[1, 2]", "JSON object"),
-            (VALID.replace('"p": [0.0]', '"x": [0.0]'), "missing key 'p'"),
-            (VALID.replace('"omega0": 0.0', '"omega0": NaN'), "omega0 must be finite"),
-            (VALID.replace('"q": [1.0]', '"q": [Infinity]'), "q must be finite"),
-            (VALID.replace("[0.0, 1.0]", "[0.0, NaN]"), "t_grid: grid values must be finite"),
-            (VALID.replace('"solver"', '"x"').replace('"params": {', '"solver": [], "params": {'),
+            ("simulate", VALID[:-5], "line 1"),
+            ("simulate", None, "No such file"),
+            ("simulate", "[1, 2]", "JSON object"),
+            ("simulate", VALID.replace('"p": [0.0]', '"x": [0.0]'), "missing key 'p'"),
+            ("simulate", VALID.replace('"omega0": 0.0', '"omega0": NaN'), "omega0 must be finite"),
+            ("simulate", VALID.replace('"q": [1.0]', '"q": [Infinity]'), "q must be finite"),
+            ("simulate", VALID.replace("[0.0, 1.0]", "[0.0, NaN]"),
+             "t_grid: grid values must be finite"),
+            ("simulate",
+             VALID.replace('"solver"', '"x"').replace('"params": {', '"solver": [], "params": {'),
              "solver must be a JSON object"),
+            (*variant(GROWTH, limit_t=[1]), "limit_t: float() argument"),
+            (*variant(GROWTH, limit_t=math.nan), "limit_t: must be finite and >= 1"),
+            (*variant(GROWTH, limit_t=0.5), "limit_t: must be finite and >= 1"),
+            (*variant(GROWTH, tolerances={"identity_rel": math.nan}),
+             "tolerances.identity_rel: must be finite and > 0"),
+            (*variant(GROWTH, full_chain={"t": 0.5}), "full_chain.t: must be finite and >= 1"),
+            (*variant(GROWTH, full_chain={"abs_tol": -1}),
+             "full_chain: tolerance must be positive and finite"),
+            (*variant(SUBSONIC_RAY, tolerances={"subsonic_floor": None}),
+             "tolerances.subsonic_floor: float() argument"),
+            (*variant(ORACLE, tolerances={"oracle_match": math.inf}),
+             "tolerances.oracle_match: must be finite and > 0"),
+            (*variant(base_simulate("o.csv"), k_grid=[0.6, 1.5]),
+             "k_grid: grid values must be integers"),
         ],
         ids=[
             "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
-            "nan-time", "wrong-type",
+            "nan-time", "wrong-type", "limit-t-list", "limit-t-nan", "limit-t-below-1",
+            "identity-rel-nan", "full-chain-t-below-1", "full-chain-abs-tol-negative",
+            "subsonic-floor-null", "oracle-match-inf", "k-grid-fractional",
         ],
     )
-    def test_exits_2_with_one_line(self, tmp_path, capsys, text, message):
+    def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, command, text, message):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "c.json"
         if text is not None:
             path.write_text(text)
-        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert cli.main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
@@ -154,6 +200,21 @@ class TestSimulate:
         assert len(lines) == 1 + 4
         # velocity-only data: everything vanishes at t = 0
         assert float(lines[1].split(",")[2]) == 0.0
+
+    def test_closed_form_spectrum_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return alpha_spectrum(alpha)
+
+        monkeypatch.setattr(cli, "alpha_spectrum", counted)
+        cfg = base_simulate(tmp_path / "alpha.csv")
+        cfg["initial_data"] = {"closed_form": {"name": "alpha-family", "alpha": 0.25}}
+        cfg["k_grid"] = [0]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert calls == [0.25]
 
     def test_geometric_grid_spec(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -246,6 +307,12 @@ class TestGrowth:
         assert cli.main(["growth", "--config", str(path)]) == 0
         summary = json.loads((tmp_path / "g.csv.summary.json").read_text())
         assert summary["full_chain"]["rel_err"] <= 0.1
+
+    def test_full_chain_max_mesh_is_read(self, tmp_path):
+        cfg = dict(GROWTH, full_chain={"t": 1e4, "max_mesh": 256})
+        cfg["output_path"] = str(tmp_path / "g.csv")
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["growth", "--config", str(path)]) == 3
 
     def test_pinned_growth_rejected(self, tmp_path):
         cfg = {

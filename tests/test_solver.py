@@ -6,6 +6,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainwave import bounds, model, quadrature, solver
 from chainwave.quadrature import ConvergenceError
@@ -137,6 +139,25 @@ class TestSolveAt:
             spectrum, model.ChainParams(0.0, 0.5), 2.0 * w1 * t, 2, TIGHT
         ) / (2.0 * w1)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        support_min=st.integers(-8, 8),
+        qp=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+        omega0=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+        omega1=st.floats(0.25, 2.0),
+        t=st.floats(0.0, 40.0),
+        k=st.integers(-30, 30),
+    )
+    def test_reflection_symmetry(self, support_min, qp, omega0, omega1, t, k):
+        # reflected data q'_j = q_{-j}, p'_j = p_{-j} give q'_{-k}(t) = q_k(t)
+        q, p = np.array(qp).T
+        state = model.LatticeState(support_min, q, p)
+        mirror = model.LatticeState(-state.support_max, q[::-1], p[::-1])
+        params = model.ChainParams(omega0, omega1)
+        direct = solver.solve_at(model.forward_transform(state), params, t, k, TIGHT)
+        reflected = solver.solve_at(model.forward_transform(mirror), params, t, -k, TIGHT)
+        assert reflected == pytest.approx(direct, abs=1e-12)
 
     def test_mesh_doubling_is_spectral(self):
         # trig data: once the mesh resolves the oscillation budget the
