@@ -49,7 +49,6 @@ from .model import (
     displacement_transform,
     energy,
     forward_transform,
-    grid_pair,
     inverse_transform,
     total_velocity_sum,
 )

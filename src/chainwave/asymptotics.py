@@ -278,17 +278,18 @@ class FitResult:
 
 
 NOISE_FLOOR = 1e-13
+_SAMPLES_PER_BIN = 8
 
 
-def fit_decay_exponent(xs, values, noise_floor: float = NOISE_FLOOR) -> FitResult:
+def fit_decay_exponent(xs, values) -> FitResult:
     """Log-log least squares; saturated when every |value| is below the floor."""
     xs = np.asarray(xs, dtype=float)
     vals = np.abs(np.asarray(values, dtype=float))
     if len(xs) != len(vals) or len(xs) < 2:
         raise ValueError("need at least two samples")
-    if np.all(vals < noise_floor):
+    if np.all(vals < NOISE_FLOOR):
         return FitResult(exponent=math.inf, r_squared=1.0, saturated=True)
-    keep = vals > noise_floor
+    keep = vals > NOISE_FLOOR
     lx = np.log(xs[keep])
     ly = np.log(vals[keep])
     if len(lx) < 2:
@@ -302,15 +303,13 @@ def fit_decay_exponent(xs, values, noise_floor: float = NOISE_FLOOR) -> FitResul
     return FitResult(exponent=-float(slope), r_squared=r2, saturated=False)
 
 
-def envelope_decay_exponent(
-    xs, values, samples_per_bin: int = 8, noise_floor: float = NOISE_FLOOR
-) -> FitResult:
+def envelope_decay_exponent(xs, values) -> FitResult:
     """Decay exponent of the binned envelope max |values|.
 
     Oscillatory residuals pass through zero, which wrecks pointwise
     log-log fits; the maximum over bins of consecutive samples tracks the
     envelope instead.  Samples are sorted by x and grouped into bins of
-    ``samples_per_bin``.
+    eight.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.abs(np.asarray(values, dtype=float))
@@ -318,16 +317,16 @@ def envelope_decay_exponent(
     xs, vals = xs[order], vals[order]
     centers = []
     peaks = []
-    for start in range(0, len(xs), samples_per_bin):
-        chunk_x = xs[start : start + samples_per_bin]
-        chunk_v = vals[start : start + samples_per_bin]
-        if len(chunk_x) < max(2, samples_per_bin // 2):
+    for start in range(0, len(xs), _SAMPLES_PER_BIN):
+        chunk_x = xs[start : start + _SAMPLES_PER_BIN]
+        chunk_v = vals[start : start + _SAMPLES_PER_BIN]
+        if len(chunk_x) < _SAMPLES_PER_BIN // 2:
             break  # partial trailing bin underestimates the envelope
         centers.append(float(np.exp(np.mean(np.log(chunk_x)))))
         peaks.append(float(np.max(chunk_v)))
     if len(centers) < 2:
         raise ValueError("not enough samples for an envelope fit")
-    return fit_decay_exponent(centers, peaks, noise_floor)
+    return fit_decay_exponent(centers, peaks)
 
 
 def spatial_decay_exponent(

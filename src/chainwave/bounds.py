@@ -138,7 +138,6 @@ def alpha_spectrum(alpha: float) -> SpectralPair:
     return SpectralPair(
         q_fun=lambda lam: np.zeros(len(lam), dtype=complex),
         p_fun=p_fun,
-        kind="closed-form",
         singular_endpoints=True,
     )
 
@@ -215,7 +214,6 @@ class EpsilonSpectrum:
     """
 
     epsilon: float
-    level: int
     alphas: np.ndarray
     weights: np.ndarray
 
@@ -258,25 +256,21 @@ def build_epsilon_mesh(epsilon: float, level: int = 7) -> EpsilonSpectrum:
     # side; amplitude_ratio extends continuously there
     ratio = np.array([amplitude_ratio(a) for a in alphas])
     weights = base_w * ratio * gaps ** (epsilon - 0.5)
-    return EpsilonSpectrum(epsilon=epsilon, level=level, alphas=alphas, weights=weights)
+    return EpsilonSpectrum(epsilon=epsilon, alphas=alphas, weights=weights)
 
 
-def epsilon_spectrum(
-    epsilon: float, level: int = 7, convergence_tol: float = 1e-9
-) -> SpectralPair:
+def epsilon_spectrum(epsilon: float) -> SpectralPair:
     """Q = 0 and the alpha-averaged P-tilde as a closed-form-by-quadrature pair.
 
-    Raises if refining the alpha mesh by one level still moves the value
-    at lam = pi (where every |sin(lam/2)|^(-alpha) factor is 1) by more
-    than ``convergence_tol``.
+    The alpha mesh has level 7.  Raises if refining it by one level still
+    moves the value at lam = pi (where every |sin(lam/2)|^(-alpha) factor
+    is 1) by more than 1e-9.
     """
-    mesh = build_epsilon_mesh(epsilon, level)
-    finer = build_epsilon_mesh(epsilon, level + 1)
+    mesh = build_epsilon_mesh(epsilon, 7)
+    finer = build_epsilon_mesh(epsilon, 8)
     probe = np.array([math.pi])
-    if abs(mesh.p_values(probe)[0] - finer.p_values(probe)[0]) > convergence_tol:
-        raise ValueError(
-            f"alpha mesh at level {level} not converged for epsilon={epsilon}"
-        )
+    if abs(mesh.p_values(probe)[0] - finer.p_values(probe)[0]) > 1e-9:
+        raise ValueError(f"alpha mesh at level 7 not converged for epsilon={epsilon}")
 
     def p_fun(lam: np.ndarray) -> np.ndarray:
         return mesh.p_values(lam) + 0j
@@ -284,14 +278,11 @@ def epsilon_spectrum(
     return SpectralPair(
         q_fun=lambda lam: np.zeros(len(lam), dtype=complex),
         p_fun=p_fun,
-        kind="closed-form",
         singular_endpoints=True,
     )
 
 
-def growth_main_integral_quadrature(
-    t: float, delta: float, tolerance: float = 1e-12
-) -> float:
+def growth_main_integral_quadrature(t: float, delta: float) -> float:
     """int_0^{1/2} t^alpha (1/2-alpha)^(delta-1) d alpha by direct quadrature."""
     if t <= 1.0:
         raise ValueError("requires t > 1")
@@ -299,7 +290,7 @@ def growth_main_integral_quadrature(
     def integrand(u: np.ndarray) -> np.ndarray:
         return t ** (0.5 - u) * u ** (delta - 1.0)
 
-    return tanh_sinh(integrand, 0.0, 0.5, tolerance=tolerance)
+    return tanh_sinh(integrand, 0.0, 0.5)
 
 
 def growth_main_integral_gamma(t: float, delta: float) -> float:

@@ -133,6 +133,14 @@ def _finite(value, low: float, strict: bool = False) -> float:
     return value
 
 
+def _time_grid(grid_spec, low: float, strict: bool = False) -> list:
+    """A grid of times, each at least ``low`` (above it when ``strict``)."""
+    times = _parse_grid(grid_spec)
+    for t in times:
+        _finite(t, low, strict)
+    return times
+
+
 def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
     """Every input the command uses, each built once, and every config problem.
 
@@ -173,7 +181,8 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
             problems.append("epsilon must lie in (0, 1/2)")
         if pinned:
             problems.append("growth requires omega0 = 0 (unpinned chain)")
-        inputs["t_grid"] = build("t_grid", _parse_grid, raw.get("t_grid", [10.0, 100.0, 1000.0]))
+        t_grid = raw.get("t_grid", [10.0, 100.0, 1000.0])
+        inputs["t_grid"] = build("t_grid", _time_grid, t_grid, 1.0, True)
         tolerance("identity_rel", 1e-8)
         inputs["limit_t"] = build("limit_t", _finite, raw.get("limit_t", 1e6), 1.0)
         stress = build("full_chain", _section, raw, "full_chain")
@@ -202,12 +211,17 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
         inputs["beta"] = build("beta", _finite, raw.get("beta", 0.0), 0.0, True)
         tolerance("subsonic_floor", 1e-6)
 
-    t_grid = inputs["t_grid"] = build("t_grid", _parse_grid, raw.get("t_grid", []))
+    # fixed-k asymptotes need t > 0; the ray regime takes its times from beta
+    t_grid = inputs["t_grid"] = [] if ray else build(
+        "t_grid", _time_grid, raw.get("t_grid", []), 0.0, command == "asymptotics"
+    )
     if t_grid == [] and not ray:
         problems.append("t_grid must be non-empty")
     k_grid = inputs["k_grid"] = build("k_grid", _parse_grid, raw.get("k_grid", []), True)
     if k_grid == [] and command in _NEEDS_SITES:
         problems.append("k_grid must be non-empty")
+    if ray and k_grid and 0 in k_grid:
+        problems.append("k_grid: the ray regime needs sites k != 0")
     inputs["solver"] = build("solver", _build_solver_cfg, raw)
 
     if command == "oracle-compare":

@@ -147,24 +147,27 @@ class LatticeState:
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """2pi-periodic spectral data (Q, P), one of three representations.
+    """2pi-periodic spectral data (Q, P), one of two representations.
 
-    ``kind`` is "trig" (trigonometric polynomial with stored coefficients),
-    "closed-form" (named analytic expression), or "grid" (samples on a
-    uniform lambda-mesh).  ``singular_endpoints`` marks integrable
-    |sin(lam/2)|^(-a) singularities at lam in {0, 2pi}, which routes
-    quadrature through the power-graded mesh.
+    A trig pair is the trigonometric polynomial with coefficients
+    ``q_coeffs``/``p_coeffs`` at sites ``support_min`` onward.  A closed
+    form sets ``singular_endpoints``: integrable |sin(lam/2)|^(-a)
+    singularities at lam in {0, 2pi}, which route quadrature through the
+    power-graded mesh.  That flag alone chooses the route.
     """
 
     q_fun: Callable[[np.ndarray], np.ndarray]
     p_fun: Callable[[np.ndarray], np.ndarray]
-    kind: str
     singular_endpoints: bool = False
     support_min: int | None = None
     q_coeffs: np.ndarray | None = None
     p_coeffs: np.ndarray | None = None
-    grid_q: np.ndarray | None = None
-    grid_p: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not self.singular_endpoints and (
+            self.support_min is None or self.q_coeffs is None or self.p_coeffs is None
+        ):
+            raise ValueError("a pair without singular_endpoints needs its trig coefficients")
 
     def Q(self, lam: float | np.ndarray) -> complex | np.ndarray:
         arr = np.asarray(lam, dtype=float)
@@ -191,43 +194,9 @@ def forward_transform(state: LatticeState) -> SpectralPair:
     return SpectralPair(
         q_fun=_trig_eval(state.q, state.support_min),
         p_fun=_trig_eval(state.p, state.support_min),
-        kind="trig",
         support_min=state.support_min,
         q_coeffs=state.q,
         p_coeffs=state.p,
-    )
-
-
-def grid_pair(q_samples: np.ndarray, p_samples: np.ndarray) -> SpectralPair:
-    """Spectral pair sampled on the uniform mesh lam_j = 2 pi j / N.
-
-    Point evaluation interpolates linearly (periodic); coefficient
-    extraction goes through the FFT of the stored samples.
-    """
-    q_samples = np.asarray(q_samples, dtype=complex)
-    p_samples = np.asarray(p_samples, dtype=complex)
-    if q_samples.shape != p_samples.shape or q_samples.ndim != 1:
-        raise ValueError("grid samples must be 1-d arrays of equal length")
-    n = len(q_samples)
-    mesh = 2.0 * np.pi * np.arange(n + 1) / n
-
-    def interp(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        wrapped = np.concatenate([samples, samples[:1]])
-
-        def evaluate(lam: np.ndarray) -> np.ndarray:
-            lam_mod = np.mod(lam, 2.0 * np.pi)
-            re = np.interp(lam_mod, mesh, wrapped.real)
-            im = np.interp(lam_mod, mesh, wrapped.imag)
-            return re + 1j * im
-
-        return evaluate
-
-    return SpectralPair(
-        q_fun=interp(q_samples),
-        p_fun=interp(p_samples),
-        kind="grid",
-        grid_q=q_samples,
-        grid_p=p_samples,
     )
 
 
@@ -242,20 +211,12 @@ def _extract_real(value: complex, context: str) -> float:
 
 def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
     """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam."""
-    if spectrum.kind == "grid":
-        n = len(spectrum.grid_q)
-        if n <= 2 * abs(k):
-            raise ValueError(
-                f"grid mesh of {n} points cannot resolve coefficient k={k}"
-            )
-        qc = np.fft.fft(spectrum.grid_q)[k % n] / n
-        pc = np.fft.fft(spectrum.grid_p)[k % n] / n
-    elif spectrum.singular_endpoints:
+    if spectrum.singular_endpoints:
         n0 = max(1 << 10, trig_mesh(k))
         qc = graded_coefficient(spectrum.q_fun, k, n0, 1e-10, 1 << 24)
         pc = graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24)
     else:
-        n0 = max(1 << 6, trig_mesh(k))
+        n0 = trig_mesh(k)
         qc = trig_coefficient(lambda n: spectrum.q_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
         pc = trig_coefficient(lambda n: spectrum.p_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
     return (

@@ -13,6 +13,7 @@ Three families cover every integral in the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -85,34 +86,24 @@ def trig_coefficient(
     return refine_until(at, n_start, tolerance, n_max)
 
 
-def graded_mesh(n: int, grade: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and Jacobian for lam = 2 u^grade mapping [0, (pi/2)^(1/grade)] -> [0, pi].
-
-    The map clusters nodes at lam = 0 so that integrands with an
-    |sin(lam/2)|^(-a), a < 1/2 singularity become Hoelder-smooth in u.
-    Returns ``(u, dlam_du)`` with the u = 0 node included; callers must
-    supply the (finite, usually zero) limit of the mapped integrand there.
-    """
-    length = (np.pi / 2.0) ** (1.0 / grade)
-    u = np.linspace(0.0, length, n + 1)
-    jac = 2.0 * grade * u ** (grade - 1)
-    return u, jac
+#: exponent of the grading lam = 2 u^4, which clusters nodes at lam = 0 so that
+#: integrands with an |sin(lam/2)|^(-a), a < 1/2 singularity become
+#: Hoelder-smooth in u
+_GRADE = 4
 
 
-def graded_half_integral(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    grade: int = 4,
-) -> complex:
-    """Integrate f(lam) over [0, pi] with the lam = 2 u^grade grading.
+def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
+    """Integrate f(lam) over [0, pi] on n panels of lam = 2 u^4,
+    u in [0, (pi/2)^(1/4)].
 
     ``integrand`` is evaluated only at lam > 0; the u = 0 contribution is
     taken as zero, valid whenever f(lam) * dlam/du -> 0, which holds for
     every shipped closed form (|sin|^(-a) with a < 1/2 against the
-    u^(grade-1) Jacobian).
+    u^3 Jacobian).
     """
-    u, jac = graded_mesh(n, grade)
-    lam = 2.0 * u**grade
+    u = np.linspace(0.0, (np.pi / 2.0) ** (1.0 / _GRADE), n + 1)
+    jac = 2.0 * _GRADE * u ** (_GRADE - 1)
+    lam = 2.0 * u**_GRADE
     vals = np.zeros(len(u), dtype=complex)
     vals[1:] = integrand(lam[1:]) * jac[1:]
     return complex(np.trapezoid(vals, u))
@@ -149,7 +140,12 @@ def graded_coefficient(
     return refine_until(at, n_start, tolerance, n_max)
 
 
-def tanh_sinh_pairs(level: int, u_max: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
+#: tanh-sinh abscissae run over u in [0, 5]; levels stop at 2^12 steps
+_TANH_SINH_U_MAX = 5.0
+_TANH_SINH_MAX_LEVEL = 12
+
+
+def tanh_sinh_pairs(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Double-exponential node pairs for integrals over (0, 1).
 
     Returns ``(d, w)`` where ``d[j]`` is the distance of the j-th node
@@ -160,7 +156,7 @@ def tanh_sinh_pairs(level: int, u_max: float = 5.0) -> tuple[np.ndarray, np.ndar
     relative precision down to d ~ 1e-100 -- essential when the integrand
     has an endpoint singularity.
     """
-    h = u_max / (1 << level)
+    h = _TANH_SINH_U_MAX / (1 << level)
     u = np.arange(0, (1 << level) + 1) * h
     s = np.pi / 2.0 * np.sinh(u)
     e = np.exp(-2.0 * s)
@@ -175,7 +171,6 @@ def tanh_sinh(
     a: float,
     b: float,
     tolerance: float = 1e-12,
-    max_level: int = 12,
 ) -> float:
     """Integrate f over (a, b), allowing algebraic endpoint singularities.
 
@@ -185,7 +180,7 @@ def tanh_sinh(
     """
     scale = b - a
     previous = None
-    for level in range(6, max_level + 1):
+    for level in range(6, _TANH_SINH_MAX_LEVEL + 1):
         d, w = tanh_sinh_pairs(level)
         left = np.sum(f(a + scale * d[1:]) * w[1:])
         right = np.sum(f(b - scale * d[1:]) * w[1:])
@@ -198,11 +193,15 @@ def tanh_sinh(
         previous = value
     raise ConvergenceError(
         f"tanh-sinh quadrature did not stabilize to {tolerance:g} "
-        f"by level {max_level}"
+        f"by level {_TANH_SINH_MAX_LEVEL}"
     )
 
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use so that importing chainwave does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def gauss_legendre_panels(
@@ -210,12 +209,9 @@ def gauss_legendre_panels(
     a: float,
     b: float,
     n_panels: int,
-    n_nodes: int = 16,
 ) -> float:
-    """Composite Gauss-Legendre rule; panels must resolve the oscillation."""
-    if n_nodes not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n_nodes] = np.polynomial.legendre.leggauss(n_nodes)
-    x, w = _LEGENDRE_CACHE[n_nodes]
+    """Composite 16-point Gauss-Legendre rule; panels must resolve the oscillation."""
+    x, w = _legendre()
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -5,11 +5,11 @@ Each mode evolves as a harmonic oscillator of frequency omega(lam), so
     q_k(t) = (1/2pi) int_0^{2pi} [Q(lam) cos(t omega) +
                                   P(lam) sin(t omega)/omega] e^{-i k lam} dlam.
 
-Smooth (trig-polynomial or grid) spectra are integrated with the uniform
-trapezoid rule, which is spectrally accurate for periodic integrands and
-doubles the mesh until two successive values agree; whole site ranges come
-out of a single FFT per time slice.  Endpoint-singular closed forms are
-routed through the power-graded mesh.
+Trig-polynomial spectra are integrated with the uniform trapezoid rule,
+which is spectrally accurate for periodic integrands and doubles the mesh
+until two successive values agree; whole site ranges come out of a single
+FFT per time slice.  Endpoint-singular closed forms are routed through the
+power-graded mesh.
 """
 
 from __future__ import annotations
@@ -139,24 +139,21 @@ def evolve_spectrum(spectrum: SpectralPair, params: ChainParams, t: float):
 def _mesh_eval(
     spectrum: SpectralPair, params: ChainParams, t: float, n: int
 ) -> np.ndarray:
-    """Evolved spectrum sampled on the uniform n-mesh.
+    """Evolved trig spectrum sampled on the uniform n-mesh.
 
-    Trig pairs are synthesized by a zero-padded inverse FFT instead of a
-    dense sum; this is exact as long as n exceeds the coefficient span.
+    Q and P are synthesized by an inverse FFT of the coefficients folded
+    onto their residues mod n; at the nodes e^{i k lam} depends only on
+    k mod n, so the fold is exact for any coefficient span.
     """
     lam = periodic_mesh(n)
     om = dispersion(params, lam)
-    if spectrum.kind == "trig" and len(spectrum.q_coeffs) < n:
-        c_q = np.zeros(n, dtype=complex)
-        c_p = np.zeros(n, dtype=complex)
-        idx = np.mod(np.arange(spectrum.support_min, spectrum.support_min + len(spectrum.q_coeffs)), n)
-        np.add.at(c_q, idx, spectrum.q_coeffs)
-        np.add.at(c_p, idx, spectrum.p_coeffs)
-        q_vals = np.fft.ifft(c_q) * n
-        p_vals = np.fft.ifft(c_p) * n
-    else:
-        q_vals = spectrum.Q(lam)
-        p_vals = spectrum.P(lam)
+    c_q = np.zeros(n, dtype=complex)
+    c_p = np.zeros(n, dtype=complex)
+    idx = np.mod(np.arange(spectrum.support_min, spectrum.support_min + len(spectrum.q_coeffs)), n)
+    np.add.at(c_q, idx, spectrum.q_coeffs)
+    np.add.at(c_p, idx, spectrum.p_coeffs)
+    q_vals = np.fft.ifft(c_q) * n
+    p_vals = np.fft.ifft(c_p) * n
     return q_vals * np.cos(t * om) + p_vals * sinc_kernel(t, om)
 
 
@@ -236,16 +233,17 @@ def solve_grid(
     return SolutionGrid(params, tuple(times), tuple(sites), values)
 
 
-def max_norm(grid: SolutionGrid, t_index: int, edge_sites: int = 2) -> float:
+def max_norm(grid: SolutionGrid, t_index: int) -> float:
     """Windowed sup_k |q_k| at one time slice.
 
-    Warns if the boundary of the site window carries more than 1e-3 of the
-    interior maximum, i.e. the window may have clipped the wave front.
+    Warns if the two outermost sites on either side of the window carry
+    more than 1e-3 of the interior maximum, i.e. the window may have
+    clipped the wave front.
     """
     row = np.abs(grid.values[t_index])
     peak = float(np.max(row))
-    if peak > 0.0 and len(row) > 2 * edge_sites:
-        edge = max(float(np.max(row[:edge_sites])), float(np.max(row[-edge_sites:])))
+    if peak > 0.0 and len(row) > 4:
+        edge = max(float(np.max(row[:2])), float(np.max(row[-2:])))
         if edge > 1e-3 * peak:
             warnings.warn(
                 f"window edge value {edge:.3e} exceeds 1e-3 of the interior "

@@ -291,16 +291,17 @@ def bohmer_sine_integral(alpha: float) -> float:
     return gamma_fn(1.0 - alpha) * math.sin(math.pi * alpha / 2.0) / alpha
 
 
-def bohmer_quadrature(alpha: float, cutoff: float = 4000.0) -> float:
+def bohmer_quadrature(alpha: float) -> float:
     """The same integral by truncated oscillatory quadrature.
 
     [0, 1] is done with tanh-sinh (u^(-alpha) endpoint), [1, cutoff] with
     composite Gauss-Legendre panels, and the tail with the two-term
     integration-by-parts expansion, whose remainder is below
-    (1+alpha)(2+alpha) / cutoff^(2+alpha).
+    (1+alpha)(2+alpha) / cutoff^(2+alpha), cutoff = 4000.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("bohmer_quadrature requires 0 < alpha < 1")
+    cutoff = 4000.0
     f = lambda u: np.sin(u) * u ** (-1.0 - alpha)
     head = tanh_sinh(f, 0.0, 1.0, tolerance=1e-12)
     n_panels = int(cutoff / math.pi * 2) + 8

@@ -69,7 +69,7 @@ class TestValidate:
 
     def test_ray_regime_reads_no_t_grid(self, tmp_path):
         cfg = base_simulate(tmp_path / "o.csv")
-        cfg.update(command="asymptotics", regime="ray", beta=3.0, t_grid=[])
+        cfg.update(command="asymptotics", regime="ray", beta=3.0, t_grid=[], k_grid=[16, 32])
         assert self._problems(cfg) == []
 
 
@@ -95,6 +95,8 @@ ORACLE = dict(
     k_grid=list(range(-5, 6)),
     oracle={"radius": 60, "dt": 5e-4},
 )
+FIXED_K = dict(base_simulate("o.csv"), command="asymptotics")
+SUPERSONIC_RAY = dict(FIXED_K, regime="ray", beta=3.0, k_grid=[0, 16, 32])
 
 
 def variant(base, **changes):
@@ -133,21 +135,35 @@ class TestMalformedConfig:
              "tolerances.oracle_match: must be finite and > 0"),
             (*variant(base_simulate("o.csv"), k_grid=[0.6, 1.5]),
              "k_grid: grid values must be integers"),
+            (*variant(base_simulate("o.csv"), t_grid=[-1]), "t_grid: must be finite and >= 0"),
+            (*variant(dict(base_simulate("o.csv"), command="bounds-check"), t_grid=[-1]),
+             "t_grid: must be finite and >= 0"),
+            (*variant(ORACLE, t_grid=[-1]), "t_grid: must be finite and >= 0"),
+            (*variant(FIXED_K, t_grid=[-5, 100]), "t_grid: must be finite and > 0"),
+            (*variant(FIXED_K, t_grid=[0, 100]), "t_grid: must be finite and > 0"),
+            (*variant(GROWTH, t_grid=[0.5]), "t_grid: must be finite and > 1"),
+            (*variant(GROWTH, t_grid=[1.0]), "t_grid: must be finite and > 1"),
+            (*variant(SUPERSONIC_RAY), "k_grid: the ray regime needs sites k != 0"),
+            (*variant(SUPERSONIC_RAY, beta=1.0), "k_grid: the ray regime needs sites k != 0"),
         ],
         ids=[
             "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
             "nan-time", "wrong-type", "limit-t-list", "limit-t-nan", "limit-t-below-1",
             "identity-rel-nan", "full-chain-t-below-1", "full-chain-abs-tol-negative",
             "subsonic-floor-null", "oracle-match-inf", "k-grid-fractional",
+            "simulate-t-negative", "bounds-check-t-negative", "oracle-compare-t-negative",
+            "fixed-k-t-negative", "fixed-k-t-zero", "growth-t-below-1", "growth-t-1",
+            "supersonic-ray-k-zero", "critical-ray-k-zero",
         ],
     )
-    def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, command, text, message):
+    def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, command, text, message):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "c.json"
         if text is not None:
             path.write_text(text)
         assert cli.main([command, "--config", str(path)]) == 2
-        err = capsys.readouterr().err
+        out, err = capfd.readouterr()
+        assert out == ""
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert message in err

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from chainwave import model
+from chainwave import bounds, model
 
 
 def random_state(rng, n=11, support_min=-5):
@@ -122,21 +123,23 @@ class TestTransforms:
             assert q_k == pytest.approx(state.q_at(k), abs=1e-12)
             assert p_k == pytest.approx(state.p_at(k), abs=1e-12)
 
-    def test_grid_representation_round_trip(self):
-        rng = np.random.default_rng(6)
-        state = random_state(rng)
-        trig = model.forward_transform(state)
-        n = 256
-        lam = 2.0 * math.pi * np.arange(n) / n
-        grid = model.grid_pair(trig.Q(lam), trig.P(lam))
-        q_k, p_k = model.inverse_transform(grid, 3)
-        assert q_k == pytest.approx(state.q_at(3), abs=1e-12)
-        assert p_k == pytest.approx(state.p_at(3), abs=1e-12)
+    def test_pair_without_route_rejected(self):
+        zeros = lambda lam: np.zeros(len(lam), dtype=complex)
+        with pytest.raises(ValueError, match="trig coefficients"):
+            model.SpectralPair(q_fun=zeros, p_fun=zeros)
 
-    def test_grid_too_coarse_raises(self):
-        grid = model.grid_pair(np.ones(16), np.zeros(16))
-        with pytest.raises(ValueError, match="mesh"):
-            model.inverse_transform(grid, 8)
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+    def test_inverse_of_closed_form(self, alpha):
+        # Fourier coefficients of a |sin(lam/2)|^(-alpha): the graded route
+        spectrum = bounds.alpha_spectrum(alpha)
+        a = mp.mpf(bounds.alpha_normalization(alpha))
+        for k in (0, 1, 5, 40):
+            exact = (-1) ** k * a * 2**alpha * mp.gamma(1 - alpha) / (
+                mp.gamma(1 - alpha / 2 + k) * mp.gamma(1 - alpha / 2 - k)
+            )
+            q_k, p_k = model.inverse_transform(spectrum, k)
+            assert q_k == 0.0
+            assert p_k == pytest.approx(float(exact), abs=1e-9)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(7)

@@ -99,12 +99,27 @@ class TestSolveAt:
 
     def test_t_zero_reproduces_data(self):
         rng = np.random.default_rng(12)
-        state = model.LatticeState(-4, rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9))
+        narrow = model.LatticeState(-4, rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9))
+        # wider than the 256-node starting mesh
+        wide = model.LatticeState(-150, rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300))
+        for state in (narrow, wide):
+            spectrum = model.forward_transform(state)
+            for k in range(-6, 7):
+                assert solver.solve_at(spectrum, UNPINNED, 0.0, k, TIGHT) == pytest.approx(
+                    state.q_at(k), abs=1e-12
+                )
+
+    def test_mesh_synthesis_folds_wide_support(self):
+        # the FFT synthesis of a support wider than the mesh folds the
+        # coefficients onto their aliases: the dense sum at the nodes
+        rng = np.random.default_rng(14)
+        state = model.LatticeState(-150, rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300))
         spectrum = model.forward_transform(state)
-        for k in range(-6, 7):
-            assert solver.solve_at(spectrum, UNPINNED, 0.0, k, TIGHT) == pytest.approx(
-                state.q_at(k), abs=1e-12
-            )
+        params = model.ChainParams(0.5, 1.0)
+        for n in (128, 256):
+            dense = solver.evolve_spectrum(spectrum, params, 3.0)(quadrature.periodic_mesh(n))
+            synthesized = solver._mesh_eval(spectrum, params, 3.0, n)
+            assert np.max(np.abs(synthesized - dense)) < 1e-10
 
     def test_time_symmetry_cosine(self):
         # pure displacement data evolves through cos(t omega): even in t,
