@@ -15,7 +15,7 @@ Gamma(delta)/sqrt(2 omega1), delta = eps + 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -204,6 +204,25 @@ def weight_integral(epsilon: float, tolerance: float = 1e-10) -> float:
     return tanh_sinh(integrand, 0.0, 0.5, tolerance=tolerance)
 
 
+#: P-tilde is interpolated as ln P-tilde in x = -ln|sin(lam/2)|, on
+#: uniform panels of [0, _LOG_X_MAX] with one Chebyshev series of degree
+#: _CHEB_DEGREE each; points beyond _LOG_X_MAX (lam below ~4e-35) take the
+#: direct sum
+_LOG_X_MAX = 80.0
+_CHEB_PANELS = 160
+_CHEB_DEGREE = 8
+#: largest relative error of the interpolant the build-time certificate accepts
+_CHEB_REL_TOL = 1e-12
+#: points per block of p_values, which bounds the buffers of the recurrence
+_CLENSHAW_BLOCK = 1 << 14
+
+
+def _panel_points(t: np.ndarray) -> np.ndarray:
+    """The points t in [-1, 1] mapped into every panel, panel by panel."""
+    width = _LOG_X_MAX / _CHEB_PANELS
+    return (width * (np.arange(_CHEB_PANELS)[:, None] + 0.5 * (t + 1.0))).ravel()
+
+
 @dataclass(frozen=True)
 class EpsilonSpectrum:
     """Quadrature discretization of the alpha average defining P-tilde.
@@ -211,34 +230,111 @@ class EpsilonSpectrum:
     ``alphas``/``weights`` form a double-exponential rule on (0, 1/2),
     graded into the alpha = 1/2 endpoint where w_eps blows up like
     (1/2 - alpha)^(eps-1); ``weights`` already contain w_eps * a_alpha.
+
+    P-tilde(lam) = sum_i weights_i e^{alpha_i x}, x = -ln|sin(lam/2)|, is
+    evaluated through a piecewise-Chebyshev interpolant of ln P-tilde in
+    x.  Construction certifies it against the direct sum between the
+    interpolation nodes of every panel and raises ``ValueError`` if the
+    relative error exceeds ``_CHEB_REL_TOL``.
     """
 
     epsilon: float
     alphas: np.ndarray
     weights: np.ndarray
+    #: (degree + 1, panels) Chebyshev coefficients of ln P-tilde, row j
+    #: holding the T_j coefficient of every panel
+    log_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("alphas", "weights"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # ln P-tilde at the Chebyshev points of each panel, then the
+        # discrete Chebyshev transform per panel
+        theta = np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1)
+        values = np.log(self._direct_sum(_panel_points(np.cos(theta))))
+        basis = np.cos(np.outer(np.arange(_CHEB_DEGREE + 1), theta))
+        coeffs = basis @ values.reshape(_CHEB_PANELS, -1).T * (2.0 / (_CHEB_DEGREE + 1))
+        coeffs[0] *= 0.5
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "log_coeffs", coeffs)
+        # certificate: the extrema of T_{degree+1} interleave the nodes,
+        # where the interpolation error peaks
+        x = _panel_points(np.cos(np.pi * np.arange(1, _CHEB_DEGREE + 1) / (_CHEB_DEGREE + 1)))
+        approx = np.exp(self._log_interpolant(x))
+        worst = float(np.max(np.abs(approx / self._direct_sum(x) - 1.0)))
+        if not worst <= _CHEB_REL_TOL:
+            raise ValueError(
+                f"P-tilde interpolant for epsilon={self.epsilon} has relative error "
+                f"{worst:.2e} above {_CHEB_REL_TOL:g}"
+            )
 
     @property
     def delta(self) -> float:
         return self.epsilon + 0.5
 
-    def p_values(self, lam: np.ndarray) -> np.ndarray:
-        """P-tilde(lam) = sum_i weights_i |sin(lam/2)|^(-alpha_i)."""
-        s = np.abs(np.sin(np.asarray(lam, dtype=float) / 2.0))
-        log_s = np.log(s)
-        out = np.zeros_like(s)
+    def _direct_sum(self, x: np.ndarray) -> np.ndarray:
+        """sum_i weights_i e^{alpha_i x}, term by term."""
+        out = np.zeros_like(x)
         for w, a in zip(self.weights, self.alphas):
-            out += w * np.exp(-a * log_s)
+            out += w * np.exp(a * x)
+        return out
+
+    def _log_interpolant(self, x: np.ndarray) -> np.ndarray:
+        """ln P-tilde from the interpolant at ``x``, all in [0, _LOG_X_MAX]."""
+        t = x * (_CHEB_PANELS / _LOG_X_MAX)
+        panel = np.minimum(np.floor(t), _CHEB_PANELS - 1)
+        # local variable in [-1, 1] of each point's panel
+        t -= panel
+        t *= 2.0
+        t -= 1.0
+        panel = panel.astype(np.intp)
+        two_t = t + t
+        # Clenshaw: b_j = c_j + 2t b_{j+1} - b_{j+2}, in place from j = degree
+        b1 = self.log_coeffs[_CHEB_DEGREE].take(panel)
+        b2 = np.zeros_like(t)
+        c = np.empty_like(t)
+        for j in range(_CHEB_DEGREE - 1, 0, -1):
+            self.log_coeffs[j].take(panel, out=c)
+            c -= b2
+            np.multiply(two_t, b1, out=b2)
+            b2 += c
+            b1, b2 = b2, b1
+        # ln P-tilde = c_0 + t b_1 - b_2
+        self.log_coeffs[0].take(panel, out=c)
+        b1 *= t
+        b1 += c
+        b1 -= b2
+        return b1
+
+    def p_values(self, lam: np.ndarray) -> np.ndarray:
+        """P-tilde(lam) = sum_i weights_i |sin(lam/2)|^(-alpha_i).
+
+        Runs over blocks of ``_CLENSHAW_BLOCK`` points, so the only array
+        as long as ``lam`` is the result.  The interpolant covers
+        x = -ln|sin(lam/2)| <= _LOG_X_MAX; larger x (and NaN) take the
+        direct sum.
+        """
+        lam = np.asarray(lam, dtype=float)
+        out = np.empty(lam.shape)
+        flat_lam, flat_out = lam.reshape(-1), out.reshape(-1)
+        for start in range(0, flat_lam.size, _CLENSHAW_BLOCK):
+            x = np.sin(flat_lam[start : start + _CLENSHAW_BLOCK] / 2.0)
+            np.abs(x, out=x)
+            np.log(x, out=x)
+            np.negative(x, out=x)
+            block = flat_out[start : start + len(x)]
+            np.exp(self._log_interpolant(np.fmin(x, _LOG_X_MAX)), out=block)
+            far = ~(x <= _LOG_X_MAX)
+            if np.any(far):
+                block[far] = self._direct_sum(x[far])
         return out
 
 
-def build_epsilon_mesh(epsilon: float, level: int = 7) -> EpsilonSpectrum:
-    """Double-exponential rule for int_0^{1/2} w_eps(alpha) a_alpha (...) d alpha.
+def _epsilon_rule(epsilon: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Double-exponential nodes and weights for
+    int_0^{1/2} w_eps(alpha) a_alpha (...) d alpha, as ``(alphas, weights)``.
 
     Node gaps v = 1/2 - alpha near the singular endpoint are kept exactly
     (they reach ~1e-100, far below machine epsilon relative to alpha), so
@@ -255,7 +351,12 @@ def build_epsilon_mesh(epsilon: float, level: int = 7) -> EpsilonSpectrum:
     # alpha rounds to exactly 1/2 in the deepest nodes of the singular
     # side; amplitude_ratio extends continuously there
     ratio = np.array([amplitude_ratio(a) for a in alphas])
-    weights = base_w * ratio * gaps ** (epsilon - 0.5)
+    return alphas, base_w * ratio * gaps ** (epsilon - 0.5)
+
+
+def build_epsilon_mesh(epsilon: float, level: int = 7) -> EpsilonSpectrum:
+    """The ``EpsilonSpectrum`` of the level-``level`` alpha rule."""
+    alphas, weights = _epsilon_rule(epsilon, level)
     return EpsilonSpectrum(epsilon=epsilon, alphas=alphas, weights=weights)
 
 
@@ -263,13 +364,13 @@ def epsilon_spectrum(epsilon: float) -> SpectralPair:
     """Q = 0 and the alpha-averaged P-tilde as a closed-form-by-quadrature pair.
 
     The alpha mesh has level 7.  Raises if refining it by one level still
-    moves the value at lam = pi (where every |sin(lam/2)|^(-alpha) factor
-    is 1) by more than 1e-9.
+    moves the value at lam = pi by more than 1e-9; there every
+    |sin(lam/2)|^(-alpha) factor is 1, so P-tilde(pi) is the sum of the
+    weights.
     """
     mesh = build_epsilon_mesh(epsilon, 7)
-    finer = build_epsilon_mesh(epsilon, 8)
-    probe = np.array([math.pi])
-    if abs(mesh.p_values(probe)[0] - finer.p_values(probe)[0]) > 1e-9:
+    _, finer = _epsilon_rule(epsilon, 8)
+    if abs(mesh.weights.sum() - finer.sum()) > 1e-9:
         raise ValueError(f"alpha mesh at level 7 not converged for epsilon={epsilon}")
 
     def p_fun(lam: np.ndarray) -> np.ndarray:

@@ -369,26 +369,27 @@ def _cmd_asymptotics(inputs: dict) -> tuple[list, dict, bool]:
         summary["final_scaled_residual"] = rows[-1][6] if rows else 0.0
     else:
         beta = inputs["beta"]
-        sites = sorted({abs(k) for k in inputs["k_grid"]})
+        # each listed site as given, nearest first; t = beta |k|
+        sites = sorted(set(inputs["k_grid"]), key=lambda k: (abs(k), k))
         kind = classify_ray(beta, params)
         summary["classification"] = kind
         values = []
         scaled = []
         geo = ray_geometry(beta, params) if kind == "supersonic" else None
         for k in sites:
-            t = beta * k
+            t = beta * abs(k)
             exact = solve_at(spectrum, params, t, k, cfg)
             pred = ray_asymptote(spectrum, geo, k, params) if geo is not None else 0.0
             res = exact - pred
             values.append(exact)
-            scaled.append(abs(res) * math.sqrt(k))
+            scaled.append(abs(res) * math.sqrt(abs(k)))
             rows.append((f"ray-{kind}", k, t, exact, pred, res, scaled[-1]))
         if kind == "supersonic":
             ok = scaled[-1] <= scaled[0] + 1e-12
         elif kind == "subsonic":
             ok = abs(values[-1]) <= inputs["subsonic_floor"]
         else:
-            fit = fit_decay_exponent(sites, values)
+            fit = fit_decay_exponent([abs(k) for k in sites], values)
             summary["fitted_exponent"] = fit.exponent
             summary["r_squared"] = fit.r_squared
             ok = fit.saturated or fit.exponent > 0.0

@@ -102,10 +102,11 @@ def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) 
     u^3 Jacobian).
     """
     u = np.linspace(0.0, (np.pi / 2.0) ** (1.0 / _GRADE), n + 1)
-    jac = 2.0 * _GRADE * u ** (_GRADE - 1)
-    lam = 2.0 * u**_GRADE
     vals = np.zeros(len(u), dtype=complex)
-    vals[1:] = integrand(lam[1:]) * jac[1:]
+    # the Jacobian 8 u^3 is applied in place, so that no mesh-long lam,
+    # Jacobian or product array outlives this line
+    vals[1:] = integrand(2.0 * u[1:] ** _GRADE)
+    vals[1:] *= 2.0 * _GRADE * u[1:] ** (_GRADE - 1)
     return complex(np.trapezoid(vals, u))
 
 
@@ -113,6 +114,33 @@ def graded_mesh_start(k: int, phase: float) -> int:
     """Starting mesh of the graded route: the power of two at or above
     4 (|k| + phase + 64), with ``phase`` = t * omega0' as in ``trig_mesh``."""
     return 1 << math.ceil(math.log2(4.0 * (abs(k) + phase + 64.0)))
+
+
+def _nested(integrand: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """``integrand`` for ``graded_half_integral`` on meshes that double from
+    one call to the next.
+
+    ``linspace(0, L, n + 1)[j]`` equals ``linspace(0, L, 2n + 1)[2j]`` bit for
+    bit, so the even nodes of mesh 2n are the nodes of mesh n: their values
+    are kept from the previous call and only the n new odd nodes are
+    evaluated.  The values, and so the trapezoid sum, are the ones a full
+    evaluation would give.
+    """
+    kept = None
+
+    def evaluate(lam: np.ndarray) -> np.ndarray:
+        nonlocal kept
+        # lam holds nodes 1..n; the odd ones sit at even positions
+        if kept is not None and 2 * len(kept) == len(lam):
+            values = np.empty(len(lam), dtype=complex)
+            values[1::2] = kept
+            kept = values  # frees the previous values before the evaluation
+            values[0::2] = integrand(lam[0::2])
+        else:
+            values = kept = integrand(lam)
+        return values
+
+    return evaluate
 
 
 def graded_coefficient(
@@ -126,16 +154,16 @@ def graded_coefficient(
 
     Splits the period at pi and grades each half from its singular
     endpoint; e^{-ik lam} rides along unchanged.  Meshes double through
-    ``refine_until``.
+    ``refine_until``, and each half evaluates ``fun`` only at the nodes
+    its previous mesh lacked, n_final points in all.
     """
+    left = _nested(lambda lam: fun(lam) * np.exp(-1j * k * lam))
+    right = _nested(
+        lambda lam: fun(2.0 * np.pi - lam) * np.exp(-1j * k * (2.0 * np.pi - lam))
+    )
 
     def at(n: int) -> complex:
-        left = graded_half_integral(lambda lam: fun(lam) * np.exp(-1j * k * lam), n)
-        right = graded_half_integral(
-            lambda lam: fun(2.0 * np.pi - lam) * np.exp(-1j * k * (2.0 * np.pi - lam)),
-            n,
-        )
-        return (left + right) / (2.0 * np.pi)
+        return (graded_half_integral(left, n) + graded_half_integral(right, n)) / (2.0 * np.pi)
 
     return refine_until(at, n_start, tolerance, n_max)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from chainwave import cli
+from chainwave import cli, model, solver
 from chainwave.bounds import alpha_spectrum
 
 
@@ -368,6 +368,33 @@ class TestAsymptotics:
         assert cli.main(["asymptotics", "--config", str(path)]) == 0
         summary = json.loads((tmp_path / "a.csv.summary.json").read_text())
         assert summary["classification"] == "subsonic"
+
+    def test_ray_regime_solves_negative_sites(self, tmp_path):
+        # asymmetric data: site -k differs from site k, so each listed site
+        # is solved as given, at t = beta |k|
+        out = tmp_path / "a.csv"
+        cfg = base_simulate(out)
+        cfg.update(
+            command="asymptotics",
+            params={"omega0": 1.0, "omega1": 1.0},
+            initial_data={"state": {"support_min": 0, "q": [0.5, 1.0], "p": [0.0, 0.3]}},
+            regime="ray",
+            beta=3.0,
+            k_grid=[-200, -100, -50],
+        )
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["asymptotics", "--config", str(path)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        sites = [(int(r[1]), float(r[2])) for r in rows]
+        assert sites == [(-50, 150.0), (-100, 300.0), (-200, 600.0)]
+        state = model.LatticeState(0, np.array([0.5, 1.0]), np.array([0.0, 0.3]))
+        spectrum = model.forward_transform(state)
+        params = model.ChainParams(1.0, 1.0)
+        for r in rows:
+            k, t = int(r[1]), float(r[2])
+            exact = solver.solve_at(spectrum, params, t, k, solver.SolverConfig())
+            assert float(r[3]) == exact
+            assert exact != pytest.approx(solver.solve_at(spectrum, params, t, -k), abs=1e-6)
 
 
 class TestSpecfunSelftest:

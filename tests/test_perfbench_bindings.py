@@ -6,7 +6,10 @@ otherwise show only in the separate benchmark self-test.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+from chainwave import bounds, model, quadrature, solver
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,3 +34,26 @@ def test_every_workload_builds(tmp_path):
     assert len(workloads.WORKLOADS) == 4
     for name, cls in workloads.WORKLOADS.items():
         assert cls(501, tmp_path).tasks, name
+
+
+def test_epsilon_solve_reaches_p_values():
+    # the tracer's bounds.p_values.* metrics time the slow-growth hot path
+    # only while the epsilon family evaluates P-tilde through p_values
+    tracing = _load("tracing")
+    spectrum = bounds.epsilon_spectrum(0.4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cfg = solver.SolverConfig(tolerance=1e-2)
+        solver.solve_at(spectrum, model.ChainParams(0.0, 0.5), 100.0, 0, cfg)
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats(lambda task: True)
+    points = stats["bounds.p_values"]["count"]
+    assert points > 0
+    assert points == stats["model.dispersion"]["count"]
+
+
+def test_graded_half_integral_takes_n_second():
+    # the tracer counts graded nodes from positional argument 1, named n
+    assert list(inspect.signature(quadrature.graded_half_integral).parameters)[1] == "n"

@@ -346,3 +346,74 @@ class TestSingularRoute:
         )
         ref = float(a / (2 * mp.pi) * 2 * mp.quad(f, [0, mp.pi / 2, mp.pi]))
         assert got == pytest.approx(ref, abs=1e-8)
+
+
+def per_level_coefficient(fun, k, n_start, tolerance, n_max):
+    """graded_coefficient with every level evaluated in full, the reference
+    for the nested-node reuse."""
+
+    def at(n):
+        left = quadrature.graded_half_integral(lambda lam: fun(lam) * np.exp(-1j * k * lam), n)
+        right = quadrature.graded_half_integral(
+            lambda lam: fun(2.0 * np.pi - lam) * np.exp(-1j * k * (2.0 * np.pi - lam)), n
+        )
+        return (left + right) / (2.0 * np.pi)
+
+    return quadrature.refine_until(at, n_start, tolerance, n_max)
+
+
+GRADED_SPECTRA = {
+    "alpha": lambda: bounds.alpha_spectrum(0.3),
+    "epsilon": lambda: bounds.epsilon_spectrum(0.4),
+}
+
+
+class TestNestedGradedNodes:
+    """Each doubling of the graded mesh evaluates only its new odd nodes."""
+
+    HALF = model.ChainParams(0.0, 0.5)
+
+    @pytest.mark.parametrize("family", sorted(GRADED_SPECTRA))
+    @pytest.mark.parametrize("k", [0, 3, -5])
+    @pytest.mark.parametrize("t", [0.0, 10.0, 1e3])
+    def test_equals_per_level_reference(self, family, k, t):
+        evolved = solver.evolve_spectrum(GRADED_SPECTRA[family](), self.HALF, t)
+        n0 = quadrature.graded_mesh_start(k, t * self.HALF.omega0_prime)
+        args = (evolved, k, n0, 1e-7, 1 << 20)
+        assert quadrature.graded_coefficient(*args) == per_level_coefficient(*args)
+
+    def test_each_half_evaluates_final_mesh_once(self, monkeypatch):
+        sizes = []
+        meshes = []
+        evolved = solver.evolve_spectrum(bounds.alpha_spectrum(0.25), self.HALF, 50.0)
+
+        def counted(lam):
+            sizes.append(len(lam))
+            return evolved(lam)
+
+        def recorded(integrand, n):
+            meshes.append(n)
+            return half_integral(integrand, n)
+
+        half_integral = quadrature.graded_half_integral
+        monkeypatch.setattr(quadrature, "graded_half_integral", recorded)
+        quadrature.graded_coefficient(counted, 0, 256, 1e-9, 1 << 20)
+        # the halves alternate, left first, one call each per mesh
+        assert len(meshes) >= 6 and len(sizes) == len(meshes)
+        assert sum(sizes[0::2]) == sum(sizes[1::2]) == max(meshes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.1, 0.4),
+    omega1=st.floats(0.25, 2.0),
+    t=st.floats(0.0, 50.0),
+    k=st.integers(-8, 8),
+)
+def test_graded_coupling_rescaling(alpha, omega1, t, k):
+    # velocity-only data: q^{w1}(t) = q^{1/2}(2 w1 t) / (2 w1) on the graded route
+    spectrum = bounds.alpha_spectrum(alpha)
+    cfg = solver.SolverConfig(tolerance=1e-9)
+    lhs = solver.solve_at(spectrum, model.ChainParams(0.0, omega1), t, k, cfg)
+    rhs = solver.solve_at(spectrum, model.ChainParams(0.0, 0.5), 2.0 * omega1 * t, k, cfg)
+    assert lhs == pytest.approx(rhs / (2.0 * omega1), abs=1e-7)
