@@ -151,9 +151,10 @@ class SpectralPair:
 
     A trig pair is the trigonometric polynomial with coefficients
     ``q_coeffs``/``p_coeffs`` at sites ``support_min`` onward.  A closed
-    form sets ``singular_endpoints``: integrable |sin(lam/2)|^(-a)
-    singularities at lam in {0, 2pi}, which route quadrature through the
-    power-graded mesh.  That flag alone chooses the route.
+    form sets ``singular_endpoints``, whose contract is: Q and P are real,
+    even in lam, and singular only at lam = 0 (mod 2pi), with integrable
+    singularities like |sin(lam/2)|^(-a).  Quadrature then runs over one
+    power-graded half [0, pi].  That flag alone chooses the route.
     """
 
     q_fun: Callable[[np.ndarray], np.ndarray]
@@ -213,12 +214,13 @@ def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
     """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam."""
     if spectrum.singular_endpoints:
         n0 = max(1 << 10, trig_mesh(k))
-        qc = graded_coefficient(spectrum.q_fun, k, n0, 1e-10, 1 << 24)
-        pc = graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24)
-    else:
-        n0 = trig_mesh(k)
-        qc = trig_coefficient(lambda n: spectrum.q_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
-        pc = trig_coefficient(lambda n: spectrum.p_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
+        return (
+            graded_coefficient(spectrum.q_fun, k, n0, 1e-10, 1 << 24),
+            graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24),
+        )
+    n0 = trig_mesh(k)
+    qc = trig_coefficient(lambda n: spectrum.q_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
+    pc = trig_coefficient(lambda n: spectrum.p_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
     return (
         _extract_real(qc, f"inverse_transform q_{k}"),
         _extract_real(pc, f"inverse_transform p_{k}"),

@@ -4,8 +4,9 @@ Three families cover every integral in the package:
 
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
   for smooth periodic integrands, refined by mesh doubling;
-* power-graded meshes for integrable endpoint singularities of the form
-  |sin(lam/2)|^(-a) at lam in {0, 2pi};
+* one power-graded half [0, pi] in real arithmetic, for spectra that are
+  real, even in lam and singular only at lam = 0 (mod 2pi), such as
+  |sin(lam/2)|^(-a);
 * tanh-sinh (double-exponential) rules for non-oscillatory integrals with
   algebraic endpoint singularities, where spectral convergence is wanted
   at modest node counts.
@@ -36,7 +37,8 @@ def refine_until(
     a scalar or an array; two values agree when their largest absolute
     difference is below ``tolerance``.  Returns the finer of the last two
     values.  A start that leaves no doubling within ``n_max`` can never
-    converge and raises before anything is evaluated.
+    converge and raises before anything is evaluated; a run that reaches
+    ``n_max`` unconverged raises with its last mesh and difference.
     """
     if 2 * n_start > n_max:
         raise ConvergenceError(
@@ -47,11 +49,13 @@ def refine_until(
     while 2 * n <= n_max:
         n *= 2
         refined = evaluate(n)
-        if np.max(np.abs(refined - value)) < tolerance:
+        change = np.max(np.abs(refined - value))
+        if change < tolerance:
             return refined
         value = refined
     raise ConvergenceError(
-        f"quadrature did not stabilize to {tolerance:g} within n_max={n_max}"
+        f"quadrature did not stabilize to {tolerance:g} within n_max={n_max}: "
+        f"the last mesh, {n}, still moved by {change:.3g}"
     )
 
 
@@ -92,8 +96,8 @@ def trig_coefficient(
 _GRADE = 4
 
 
-def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
-    """Integrate f(lam) over [0, pi] on n panels of lam = 2 u^4,
+def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """Integrate a real f(lam) over [0, pi] on n panels of lam = 2 u^4,
     u in [0, (pi/2)^(1/4)].
 
     ``integrand`` is evaluated only at lam > 0; the u = 0 contribution is
@@ -102,12 +106,12 @@ def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) 
     u^3 Jacobian).
     """
     u = np.linspace(0.0, (np.pi / 2.0) ** (1.0 / _GRADE), n + 1)
-    vals = np.zeros(len(u), dtype=complex)
+    vals = np.zeros(len(u))
     # the Jacobian 8 u^3 is applied in place, so that no mesh-long lam,
     # Jacobian or product array outlives this line
     vals[1:] = integrand(2.0 * u[1:] ** _GRADE)
     vals[1:] *= 2.0 * _GRADE * u[1:] ** (_GRADE - 1)
-    return complex(np.trapezoid(vals, u))
+    return float(np.trapezoid(vals, u))
 
 
 def graded_mesh_start(k: int, phase: float) -> int:
@@ -132,7 +136,7 @@ def _nested(integrand: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarr
         nonlocal kept
         # lam holds nodes 1..n; the odd ones sit at even positions
         if kept is not None and 2 * len(kept) == len(lam):
-            values = np.empty(len(lam), dtype=complex)
+            values = np.empty(len(lam))
             values[1::2] = kept
             kept = values  # frees the previous values before the evaluation
             values[0::2] = integrand(lam[0::2])
@@ -149,23 +153,18 @@ def graded_coefficient(
     n_start: int,
     tolerance: float,
     n_max: int,
-) -> complex:
-    """(1/2pi) int_0^{2pi} f(lam) e^{-ik lam} dlam for f singular at lam in {0, 2pi}.
+) -> float:
+    """(1/2pi) int_0^{2pi} f(lam) e^{-ik lam} dlam for f real, even in lam and
+    singular only at lam = 0 (mod 2pi).
 
-    Splits the period at pi and grades each half from its singular
-    endpoint; e^{-ik lam} rides along unchanged.  Meshes double through
-    ``refine_until``, and each half evaluates ``fun`` only at the nodes
-    its previous mesh lacked, n_final points in all.
+    For such f the coefficient is (1/pi) int_0^pi f(lam) cos(k lam) dlam:
+    one half, graded from its singular endpoint, in real arithmetic (only
+    the real part of ``fun`` is read).  Meshes double through
+    ``refine_until``, and ``fun`` is evaluated only at the nodes the
+    previous mesh lacked, n_final points in all.
     """
-    left = _nested(lambda lam: fun(lam) * np.exp(-1j * k * lam))
-    right = _nested(
-        lambda lam: fun(2.0 * np.pi - lam) * np.exp(-1j * k * (2.0 * np.pi - lam))
-    )
-
-    def at(n: int) -> complex:
-        return (graded_half_integral(left, n) + graded_half_integral(right, n)) / (2.0 * np.pi)
-
-    return refine_until(at, n_start, tolerance, n_max)
+    half = _nested(lambda lam: fun(lam).real * np.cos(k * lam))
+    return refine_until(lambda n: graded_half_integral(half, n) / np.pi, n_start, tolerance, n_max)
 
 
 #: tanh-sinh abscissae run over u in [0, 5]; levels stop at 2^12 steps

@@ -8,8 +8,8 @@ Each mode evolves as a harmonic oscillator of frequency omega(lam), so
 Trig-polynomial spectra are integrated with the uniform trapezoid rule,
 which is spectrally accurate for periodic integrands and doubles the mesh
 until two successive values agree; whole site ranges come out of a single
-FFT per time slice.  Endpoint-singular closed forms are routed through the
-power-graded mesh.
+FFT per time slice.  Endpoint-singular closed forms, real and even in lam,
+are integrated as a cosine transform over one power-graded half [0, pi].
 """
 
 from __future__ import annotations
@@ -172,12 +172,11 @@ def solve_at(
     if spectrum.singular_endpoints:
         n0 = max(cfg.mesh_points, graded_mesh_start(k, phase))
         evolved = evolve_spectrum(spectrum, params, t)
-        value = graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
-    else:
-        n0 = max(cfg.mesh_points, trig_mesh(k, phase))
-        value = trig_coefficient(
-            lambda n: _mesh_eval(spectrum, params, t, n), k, n0, cfg.tolerance, cfg.max_mesh
-        )
+        return graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
+    n0 = max(cfg.mesh_points, trig_mesh(k, phase))
+    value = trig_coefficient(
+        lambda n: _mesh_eval(spectrum, params, t, n), k, n0, cfg.tolerance, cfg.max_mesh
+    )
     return _extract_real(value, f"solve_at(k={k}, t={t})")
 
 

@@ -135,9 +135,16 @@ class TestAlphaFamily:
         )
 
     def test_spectrum_symmetry(self):
-        spectrum = bounds.alpha_spectrum(0.3)
+        # the singular_endpoints contract the one-half graded route rests
+        # on: every closed form is real, even in lam and 2pi-periodic
         lam = np.linspace(0.3, 3.0, 11)
-        assert np.allclose(spectrum.P(lam), spectrum.P(2.0 * math.pi - lam))
+        near_zero = np.array([1e-24, 1e-12, 1e-6])
+        for spectrum in (bounds.alpha_spectrum(0.3), bounds.epsilon_spectrum(0.4)):
+            assert np.allclose(spectrum.P(lam), spectrum.P(2.0 * math.pi - lam))
+            for x in (lam, near_zero):
+                values = spectrum.P(x)
+                assert np.array_equal(spectrum.P(-x), values)
+                assert np.all(values.imag == 0.0)
 
     def test_remainder_bound_midscale(self):
         # |q_0(t) - phi t^alpha| <= a (3 + 2/t) at alpha = 0.3, t = 50
