@@ -3,7 +3,8 @@
 Three families cover every integral in the package:
 
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
-  for smooth periodic integrands, refined by mesh doubling;
+  for smooth periodic integrands, on a mesh certified in advance by an
+  a-priori error bound (``certified_mesh``) or refined by mesh doubling;
 * one power-graded half [0, pi] in real arithmetic, for spectra that are
   real, even in lam and singular only at lam = 0 (mod 2pi), such as
   |sin(lam/2)|^(-a);
@@ -66,6 +67,35 @@ def trig_mesh(k: int, phase: float = 0.0) -> int:
     return 1 << math.ceil(math.log2(8.0 * (abs(k) + phase / math.pi + 16.0)))
 
 
+def certified_mesh(
+    log_bound: Callable[[int], float],
+    n_start: int,
+    reach: int,
+    tolerance: float,
+    n_max: int,
+) -> int:
+    """The first of ``n_start``, 2 ``n_start``, 4 ``n_start``, ... that
+    exceeds 2 ``reach`` and whose a-priori error bound, ``exp(log_bound(n))``,
+    is below ``tolerance``.
+
+    The mesh is chosen in arithmetic alone: nothing is evaluated.  A mesh
+    past ``n_max`` raises, naming the mesh the bound needs and the bound
+    it reaches at ``n_max``.
+    """
+    n = n_start
+    log_tolerance = math.log(tolerance)
+    while n <= 2 * reach or log_bound(n) >= log_tolerance:
+        n *= 2
+    if n > n_max:
+        short = f", and a mesh must exceed 2 * {reach}" if n_max <= 2 * reach else ""
+        raise ConvergenceError(
+            f"the error bound needs mesh {n} > max_mesh={n_max}; at max_mesh it "
+            f"reaches 10^{log_bound(n_max) / math.log(10.0):.1f} against the "
+            f"tolerance {tolerance:g}{short}"
+        )
+    return n
+
+
 def periodic_mesh(n: int) -> np.ndarray:
     """Uniform nodes lam_j = 2 pi j / n, j = 0..n-1 (left endpoints)."""
     return 2.0 * np.pi * np.arange(n) / n
@@ -83,11 +113,13 @@ def trig_coefficient(
     ``sample(n)`` returns f on ``periodic_mesh(n)``; the uniform trapezoid
     mean is refined through ``refine_until``.
     """
+    return refine_until(lambda n: trapezoid_coefficient(sample(n), k), n_start, tolerance, n_max)
 
-    def at(n: int) -> complex:
-        return complex(np.mean(sample(n) * np.exp(-1j * k * periodic_mesh(n))))
 
-    return refine_until(at, n_start, tolerance, n_max)
+def trapezoid_coefficient(values: np.ndarray, k: int) -> complex:
+    """Uniform trapezoid mean of f(lam) e^{-ik lam}, f given as ``values``
+    on ``periodic_mesh(len(values))``."""
+    return complex(np.mean(values * np.exp(-1j * k * periodic_mesh(len(values)))))
 
 
 #: exponent of the grading lam = 2 u^4, which clusters nodes at lam = 0 so that

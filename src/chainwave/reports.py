@@ -10,18 +10,26 @@ import json
 from pathlib import Path
 
 
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows``: floats (numpy's float64 included) as
+    ``%.17g``, every other value as ``str``.
+
+    Each row is formatted by one ``%`` template, built once per signature
+    of value types.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%.17g" if issubclass(kind, float) else "%s" for kind in kinds
+            )
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n")
 
 

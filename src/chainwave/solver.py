@@ -5,11 +5,15 @@ Each mode evolves as a harmonic oscillator of frequency omega(lam), so
     q_k(t) = (1/2pi) int_0^{2pi} [Q(lam) cos(t omega) +
                                   P(lam) sin(t omega)/omega] e^{-i k lam} dlam.
 
-Trig-polynomial spectra are integrated with the uniform trapezoid rule,
-which is spectrally accurate for periodic integrands and doubles the mesh
-until two successive values agree; whole site ranges come out of a single
-FFT per time slice.  Endpoint-singular closed forms, real and even in lam,
-are integrated as a cosine transform over one power-graded half [0, pi].
+Trig-polynomial spectra are integrated with the uniform trapezoid rule
+in one evaluation, on a mesh certified in advance: the trapezoid error of
+mesh n is the aliased solution sum_{l != 0} q_{k+ln}(t), and because
+cos(t omega) and sin(t omega)/omega are entire in lam, a contour shift
+into the strip |Im lam| < a bounds it (Trefethen & Weideman, SIAM Review
+56, 2014); whole site ranges come out of a single FFT per time slice.
+Endpoint-singular closed forms, real and even in lam, are integrated as a
+cosine transform over one power-graded half [0, pi], whose mesh doubles
+until two successive values agree.
 """
 
 from __future__ import annotations
@@ -17,23 +21,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .model import ChainParams, SpectralPair, _extract_real, dispersion
 from .quadrature import (
     ConvergenceError,
+    certified_mesh,
     graded_coefficient,
     graded_mesh_start,
     periodic_mesh,
-    refine_until,
-    trig_coefficient,
+    trapezoid_coefficient,
     trig_mesh,
 )
 
 #: series/direct switch for sin(t omega)/omega
 _SINC_SWITCH = 1e-2
 _SINC_TERMS = 8
+#: strip half-widths a over which the alias bound is minimized
+_STRIP_WIDTHS = tuple(2.0 ** (j / 2.0) for j in range(-6, 11))
 
 
 class EdgeDominanceWarning(UserWarning):
@@ -45,8 +52,10 @@ class SolverConfig:
     """Mesh controls for the oscillatory quadrature.
 
     ``mesh_points`` is the floor for the starting mesh (a power of two, so
-    coefficient extraction is one FFT); meshes double until two successive
-    results differ by less than ``tolerance`` or ``max_mesh`` is hit.
+    coefficient extraction is one FFT).  On the trig route ``tolerance``
+    bounds the certified alias error of the one mesh evaluated; on the
+    graded route meshes double until two successive results differ by less
+    than ``tolerance``.  No mesh past ``max_mesh`` is evaluated.
     """
 
     mesh_points: int = 64
@@ -87,8 +96,8 @@ class SolutionGrid:
     def rows(self):
         """Yield (t, k, q) in deterministic order: t-major, k ascending."""
         for i, t in enumerate(self.times):
-            for j, k in enumerate(self.sites):
-                yield t, k, float(self.values[i, j])
+            for k, q in zip(self.sites, self.values[i].tolist()):
+                yield t, k, q
 
     def to_csv(self, path) -> None:
         """Write the grid as ``t,k,q`` rows (deterministic order/format)."""
@@ -143,18 +152,68 @@ def _mesh_eval(
 
     Q and P are synthesized by an inverse FFT of the coefficients folded
     onto their residues mod n; at the nodes e^{i k lam} depends only on
-    k mod n, so the fold is exact for any coefficient span.
+    k mod n, so the fold is exact for any coefficient span.  The products
+    are formed in the synthesized arrays, so that peak memory stays at the
+    mesh-long arrays the synthesis needs.
     """
-    lam = periodic_mesh(n)
-    om = dispersion(params, lam)
+    om = dispersion(params, periodic_mesh(n))
     c_q = np.zeros(n, dtype=complex)
     c_p = np.zeros(n, dtype=complex)
     idx = np.mod(np.arange(spectrum.support_min, spectrum.support_min + len(spectrum.q_coeffs)), n)
     np.add.at(c_q, idx, spectrum.q_coeffs)
     np.add.at(c_p, idx, spectrum.p_coeffs)
-    q_vals = np.fft.ifft(c_q) * n
-    p_vals = np.fft.ifft(c_p) * n
-    return q_vals * np.cos(t * om) + p_vals * sinc_kernel(t, om)
+    q_vals = np.fft.ifft(c_q, norm="forward")
+    p_vals = np.fft.ifft(c_p, norm="forward")
+    p_vals *= sinc_kernel(t, om)
+    om *= t
+    q_vals *= np.cos(om, out=om)
+    q_vals += p_vals
+    return q_vals
+
+
+def _alias_log_bound(
+    spectrum: SpectralPair, params: ChainParams, t: float, reach: int
+) -> Callable[[int], float]:
+    """n -> ln of a bound on the trapezoid error of mesh n at every site k
+    with |k| + |j| <= ``reach`` for every support site j.
+
+    That error is the aliased solution sum_{l != 0} q_{k+ln}(t).  The time
+    factors are entire in omega^2 = omega0^2 + 2 omega1^2 (1 - cos lam), and
+    on the strip |Im lam| <= a, |omega| <= W with W^2 = omega0^2 +
+    2 omega1^2 (1 + cosh a); so their Fourier coefficients obey |C_m| <=
+    cosh(tW) e^{-a|m|} and |S_m| <= sinh(tW)/W e^{-a|m|}, and summed over the
+    aliases |error| <= (|q|_1 cosh(tW) + |p|_1 sinh(tW)/W) 2 e^{-a(n-reach)}
+    / (1 - e^{-an}).  The bound is minimized over a few a and kept in logs,
+    since cosh(tW) overflows at large t.
+    """
+    q_norm = float(np.sum(np.abs(spectrum.q_coeffs)))
+    p_norm = float(np.sum(np.abs(spectrum.p_coeffs)))
+    prefactors = []
+    for a in _STRIP_WIDTHS:
+        w = math.sqrt(params.omega0**2 + 2.0 * params.omega1**2 * (1.0 + math.cosh(a)))
+        x = t * w
+        # 2 (q_norm cosh x + p_norm sinh(x)/w) e^{-x}, free of overflow
+        scaled = q_norm * (1.0 + math.exp(-2.0 * x)) - p_norm * math.expm1(-2.0 * x) / w
+        if scaled == 0.0:
+            return lambda n: -math.inf
+        prefactors.append((a, x + math.log(scaled)))
+
+    def log_bound(n: int) -> float:
+        return min(c - a * (n - reach) - math.log1p(-math.exp(-a * n)) for a, c in prefactors)
+
+    return log_bound
+
+
+def _trig_route_mesh(
+    spectrum: SpectralPair, params: ChainParams, t: float, k_max: int, cfg: SolverConfig
+) -> int:
+    """The one mesh a trig solve evaluates for sites |k| <= k_max at time t:
+    ``certified_mesh`` from twice the starting mesh ``trig_mesh``."""
+    support_max = spectrum.support_min + len(spectrum.q_coeffs) - 1
+    reach = k_max + max(abs(spectrum.support_min), abs(support_max))
+    n_start = 2 * max(cfg.mesh_points, trig_mesh(k_max, t * params.omega0_prime))
+    log_bound = _alias_log_bound(spectrum, params, t, reach)
+    return certified_mesh(log_bound, n_start, reach, cfg.tolerance, cfg.max_mesh)
 
 
 def solve_at(
@@ -168,15 +227,12 @@ def solve_at(
     cfg = cfg or SolverConfig()
     if not 0.0 <= t < math.inf:
         raise ValueError("solve_at requires finite t >= 0")
-    phase = t * params.omega0_prime
     if spectrum.singular_endpoints:
-        n0 = max(cfg.mesh_points, graded_mesh_start(k, phase))
+        n0 = max(cfg.mesh_points, graded_mesh_start(k, t * params.omega0_prime))
         evolved = evolve_spectrum(spectrum, params, t)
         return graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
-    n0 = max(cfg.mesh_points, trig_mesh(k, phase))
-    value = trig_coefficient(
-        lambda n: _mesh_eval(spectrum, params, t, n), k, n0, cfg.tolerance, cfg.max_mesh
-    )
+    n = _trig_route_mesh(spectrum, params, t, abs(k), cfg)
+    value = trapezoid_coefficient(_mesh_eval(spectrum, params, t, n), k)
     return _extract_real(value, f"solve_at(k={k}, t={t})")
 
 
@@ -189,8 +245,9 @@ def solve_grid(
 ) -> SolutionGrid:
     """Solve on a whole (times x sites) grid.
 
-    One mesh evaluation plus one FFT per time slice produces every site at
-    once; sites are deduplicated and sorted ascending.
+    On the trig route one mesh evaluation plus one FFT per time slice
+    produces every site at once; sites are deduplicated and sorted
+    ascending.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
@@ -211,17 +268,13 @@ def solve_grid(
     site_idx = np.asarray(sites)
 
     def slice_at(t: float):
-        def at(n: int) -> np.ndarray:
-            if k_max >= n // 2:
-                raise ConvergenceError(
-                    f"mesh {n} cannot resolve sites up to |k|={k_max}"
-                )
-            f = _mesh_eval(spectrum, params, t, n)
-            coeffs = np.fft.fft(f) / n
-            return coeffs[np.mod(site_idx, n)]
-
-        n0 = max(cfg.mesh_points, trig_mesh(k_max, t * params.omega0_prime))
-        return refine_until(at, n0, cfg.tolerance, cfg.max_mesh)
+        n = _trig_route_mesh(spectrum, params, t, k_max, cfg)
+        if k_max >= n // 2:
+            raise ConvergenceError(
+                f"mesh {n} cannot resolve sites up to |k|={k_max}"
+            )
+        coeffs = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")
+        return coeffs[np.mod(site_idx, n)]
 
     values = np.empty((len(times), len(sites)))
     for i, t in enumerate(times):

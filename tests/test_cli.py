@@ -241,6 +241,17 @@ class TestSimulate:
         ts = sorted({float(l.split(",")[0]) for l in out.read_text().splitlines()[1:]})
         assert ts == pytest.approx([1.0, 2.0, 4.0])
 
+    def test_trig_mesh_past_cap_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        cfg = base_simulate(out)
+        cfg["t_grid"] = [1e3]
+        cfg["solver"] = {"max_mesh": 4096}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["simulate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "the error bound needs mesh 16384 > max_mesh=4096" in err
+        assert not out.exists()
+
 
 class TestOracleCompare:
     def test_small_run_passes(self, tmp_path):

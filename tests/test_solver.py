@@ -1,6 +1,7 @@
 """Spectral solver: kernels, pointwise and grid solves, singular route."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -241,6 +242,182 @@ class TestMeshCap:
     def test_solve_grid(self):
         with pytest.raises(ConvergenceError):
             solver.solve_grid(spike(), UNPINNED, [1.0], [-(10**7), 0], self.CFG)
+
+
+def trapezoid_sites(spectrum, params, t, n, sites):
+    """Trapezoid values of mesh n at ``sites``, one FFT of the evolved mesh."""
+    coeffs = np.fft.fft(solver._mesh_eval(spectrum, params, t, n), norm="forward")
+    return coeffs[np.mod(sites, n)]
+
+
+def wide_state(half_width=300):
+    # support far wider than the starting mesh's reach: the certified mesh
+    # must exceed twice the support radius
+    rng = np.random.default_rng(21)
+    size = 2 * half_width
+    return model.LatticeState(-half_width, rng.uniform(-1, 1, size), rng.uniform(-1, 1, size))
+
+
+class TestAliasBound:
+    """The a-priori bound on the trig route's trapezoid (alias) error."""
+
+    STATE = model.LatticeState(
+        -3, np.random.default_rng(3).uniform(-1, 1, 7), np.random.default_rng(4).uniform(-1, 1, 7)
+    )
+    SITES = np.arange(-4, 5)
+    REACH = 4 + 3
+    REFERENCE_MESH = 1 << 16
+
+    @pytest.mark.parametrize(
+        "omega0, omega1, n, t",
+        [
+            # meshes where the bound is informative (below 1)
+            (0.0, 1.0, 16, 2.5),
+            (0.0, 1.0, 32, 13.0),
+            (1.0, 1.0, 32, 15.0),
+            (0.5, 2.0, 32, 6.5),
+            (2.0, 0.5, 16, 5.0),
+            (0.0, 0.3, 32, 45.0),
+            # meshes far too coarse for t, up to n = 512
+            (0.0, 1.0, 64, 45.0),
+            (0.5, 2.0, 128, 52.0),
+            (0.0, 1.0, 256, 243.0),
+            (1.0, 1.0, 512, 740.0),
+            (0.0, 0.3, 512, 1740.0),
+        ],
+    )
+    def test_bound_covers_coarse_mesh_error(self, omega0, omega1, n, t):
+        params = model.ChainParams(omega0, omega1)
+        spectrum = model.forward_transform(self.STATE)
+        got = trapezoid_sites(spectrum, params, t, n, self.SITES)
+        ref = trapezoid_sites(spectrum, params, t, self.REFERENCE_MESH, self.SITES)
+        error = float(np.max(np.abs(got - ref)))
+        assert error > 1e-12  # the aliasing is visible on this mesh
+        assert math.log(error) <= solver._alias_log_bound(spectrum, params, t, self.REACH)(n)
+
+    def test_zero_spectrum_has_zero_bound(self):
+        log_bound = solver._alias_log_bound(spike(q=0.0), UNPINNED, 5.0, 4)
+        assert log_bound(16) == -math.inf
+
+    def test_wide_support_mesh_grows_past_start(self):
+        spectrum = model.forward_transform(wide_state())
+        params = model.ChainParams(0.5, 1.0)
+        t = 3.0
+        n0 = quadrature.trig_mesh(0, t * params.omega0_prime)
+        n = solver._trig_route_mesh(spectrum, params, t, 0, TIGHT)
+        assert n > 2 * n0 and n > 2 * 300
+        ref = trapezoid_sites(spectrum, params, t, self.REFERENCE_MESH, np.array([-2, 0, 5]))
+        assert solver.solve_at(spectrum, params, t, 0, TIGHT) == pytest.approx(ref[1].real, abs=1e-12)
+        grid = solver.solve_grid(spectrum, params, [t], [-2, 0, 5], TIGHT)
+        assert np.allclose(grid.values[0], ref.real, rtol=0.0, atol=1e-12)
+
+
+class TestTrigEvaluations:
+    """The trig route evaluates one certified mesh per solve, none past the cap."""
+
+    @pytest.fixture
+    def meshes(self, monkeypatch):
+        seen = []
+        mesh_eval = solver._mesh_eval
+
+        def counted(spectrum, params, t, n):
+            seen.append(n)
+            return mesh_eval(spectrum, params, t, n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trig route refined by doubling")
+
+        monkeypatch.setattr(solver, "_mesh_eval", counted)
+        monkeypatch.setattr(quadrature, "refine_until", refuse)
+        return seen
+
+    def test_one_evaluation_per_solve_at(self, meshes):
+        params = model.ChainParams(0.5, 1.0)
+        solver.solve_at(spike(p=1.0), params, 20.0, 7, TIGHT)
+        # the mesh that doubling used to return: twice the starting mesh
+        assert meshes == [2 * quadrature.trig_mesh(7, 20.0 * params.omega0_prime)]
+
+    def test_one_evaluation_per_grid_slice(self, meshes):
+        solver.solve_grid(spike(p=1.0), UNPINNED, [0.0, 3.0, 30.0], range(-10, 11), TIGHT)
+        assert len(meshes) == 3
+
+    def test_no_evaluation_past_the_cap(self, meshes):
+        spectrum = model.forward_transform(wide_state())
+        params = model.ChainParams(0.5, 1.0)
+        # the starting mesh, 512, fits the cap; the certified one does not
+        cfg = solver.SolverConfig(max_mesh=512)
+        with pytest.raises(ConvergenceError, match=r"needs mesh 1024 > max_mesh=512"):
+            solver.solve_at(spectrum, params, 3.0, 0, cfg)
+        with pytest.raises(ConvergenceError):
+            solver.solve_grid(spectrum, params, [3.0], [0, 1], cfg)
+        assert meshes == []
+
+    def test_cap_error_names_the_bound(self, meshes):
+        cfg = solver.SolverConfig(max_mesh=1 << 12)
+        with pytest.raises(ConvergenceError) as err:
+            solver.solve_at(spike(p=1.0), UNPINNED, 1e4, 0, cfg)
+        match = re.fullmatch(
+            r"the error bound needs mesh (\d+) > max_mesh=4096; at max_mesh it "
+            r"reaches 10\^(\S+) against the tolerance 1e-11",
+            str(err.value),
+        )
+        assert match is not None, str(err.value)
+        assert int(match[1]) == 2 * quadrature.trig_mesh(0, 2e4)
+        assert float(match[2]) > -11.0
+        assert meshes == []
+
+
+state_draws = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8
+)
+chain_draws = st.builds(
+    model.ChainParams,
+    omega0=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+    omega1=st.floats(0.25, 2.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    support_min=st.integers(-8, 8),
+    qp=state_draws,
+    params=chain_draws,
+    t=st.floats(0.0, 40.0),
+    sites=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+)
+def test_grid_matches_pointwise_property(support_min, qp, params, t, sites):
+    q, p = np.array(qp).T
+    spectrum = model.forward_transform(model.LatticeState(support_min, q, p))
+    grid = solver.solve_grid(spectrum, params, [t], sites, TIGHT)
+    for k in grid.sites:
+        assert grid.at(0, k) == pytest.approx(
+            solver.solve_at(spectrum, params, t, k, TIGHT), abs=1e-12
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    support_min=st.integers(-8, 8),
+    qp_a=state_draws,
+    qp_b=state_draws,
+    scale=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    params=chain_draws,
+    t=st.floats(0.0, 40.0),
+    k=st.integers(-30, 30),
+)
+def test_linearity_property(support_min, qp_a, qp_b, scale, params, t, k):
+    # q_k(t) is linear in the data (q, p)
+    size = min(len(qp_a), len(qp_b))
+    a = np.array(qp_a[:size]).T
+    b = np.array(qp_b[:size]).T
+    c_a, c_b = scale
+
+    def solve(q, p):
+        spectrum = model.forward_transform(model.LatticeState(support_min, q, p))
+        return solver.solve_at(spectrum, params, t, k, TIGHT)
+
+    combined = solve(c_a * a[0] + c_b * b[0], c_a * a[1] + c_b * b[1])
+    assert combined == pytest.approx(c_a * solve(*a) + c_b * solve(*b), abs=1e-11)
 
 
 class TestSolveGrid:
