@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChainParams, SpectralPair, _extract_real, dispersion, require_unpinned
-from .quadrature import gauss_legendre_panels
 from .solver import SolverConfig, solve_at
-from .specfun import bessel_j
+from .specfun import bessel_j_running_integral
 
 #: |gamma(beta)| below this counts as the critical ray
 CRITICAL_TOL = 1e-12
@@ -226,21 +225,15 @@ def bessel_time_integral(k: int, t: float, params: ChainParams) -> float:
 
     Equals the spectral integral
     (1/2pi) int_0^{2pi} sin(t omega)/omega e^{-i k lam} dlam and converges
-    to 1/(2 omega1) as t grows.
+    to 1/(2 omega1) as t grows.  Computed without quadrature as
+    (1/omega1) sum_{m>=0} J_{2|k|+2m+1}(2 omega1 t), see
+    ``bessel_j_running_integral``.
     """
     require_unpinned(params, "bessel_time_integral")
     if t < 0.0:
         raise ValueError("requires t >= 0")
-    if t == 0.0:
-        return 0.0
-    n = abs(2 * k)
-    panels = int(math.ceil(2.0 * params.omega1 * t / math.pi)) + 8
-    return gauss_legendre_panels(
-        lambda s: np.asarray(bessel_j(n, 2.0 * params.omega1 * s)),
-        0.0,
-        t,
-        panels,
-    )
+    rate = 2.0 * params.omega1
+    return bessel_j_running_integral(abs(2 * k), rate * t) / rate
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import numpy as np
 
 from .model import ChainParams, SpectralPair, _extract_real, dispersion
 from .quadrature import (
-    ConvergenceError,
     certified_mesh,
     graded_coefficient,
     graded_mesh_start,
@@ -208,7 +207,8 @@ def _trig_route_mesh(
     spectrum: SpectralPair, params: ChainParams, t: float, k_max: int, cfg: SolverConfig
 ) -> int:
     """The one mesh a trig solve evaluates for sites |k| <= k_max at time t:
-    ``certified_mesh`` from twice the starting mesh ``trig_mesh``."""
+    ``certified_mesh`` from twice the starting mesh ``trig_mesh``.  It
+    exceeds 2 reach >= 2 k_max, so every such site has its own FFT bin."""
     support_max = spectrum.support_min + len(spectrum.q_coeffs) - 1
     reach = k_max + max(abs(spectrum.support_min), abs(support_max))
     n_start = 2 * max(cfg.mesh_points, trig_mesh(k_max, t * params.omega0_prime))
@@ -269,10 +269,6 @@ def solve_grid(
 
     def slice_at(t: float):
         n = _trig_route_mesh(spectrum, params, t, k_max, cfg)
-        if k_max >= n // 2:
-            raise ConvergenceError(
-                f"mesh {n} cannot resolve sites up to |k|={k_max}"
-            )
         coeffs = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")
         return coeffs[np.mod(site_idx, n)]
 

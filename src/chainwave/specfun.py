@@ -1,11 +1,13 @@
-"""Self-contained special functions: Bessel J_n, gamma, lower incomplete
-gamma, and the generalized Fresnel (Bohmer) sine integral.
+"""Self-contained special functions: Bessel J_n and its running integral
+int_0^x J_n, gamma, lower incomplete gamma, and the generalized Fresnel
+(Bohmer) sine integral.
 
 Everything here is implemented in-repo with classical algorithms (Lanczos
 approximation, Miller's downward recurrence, Hankel asymptotic series,
-series/continued-fraction incomplete gamma a la Numerical Recipes ch. 6)
-and each function has an independent cross-check route used by the test
-suite and the ``specfun-selftest`` CLI command.
+series/continued-fraction incomplete gamma a la Numerical Recipes ch. 6,
+the closed form int_0^x J_n = 2 sum_m J_{n+2m+1}(x)) and each function
+has an independent cross-check route used by the test suite and, for all
+but the running integral, the ``specfun-selftest`` CLI command.
 """
 
 from __future__ import annotations
@@ -108,6 +110,28 @@ def _hankel_j01(n: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
+def _ascending_jn(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n by the ascending series (x/2)^n / n! sum_k (-x^2/4)^k / (k! (n+1)_k)
+    for tiny x, where it is one or two terms.
+
+    The leading term is built as a product, so it underflows to 0 where
+    (x/2)^n / n! is below the float range instead of overflowing n!.
+    """
+    half = 0.5 * x
+    term = np.ones_like(x)
+    for i in range(1, n + 1):
+        term *= half / i
+        if not np.any(term):
+            return term
+    total = term.copy()
+    for k in range(1, 10):
+        term = term * (-half * half) / (k * (n + k))
+        total += term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+            break
+    return total
+
+
 def _miller_jn(n: int, x: np.ndarray) -> np.ndarray:
     """J_n by downward recurrence with Miller normalization (sum rule
     J_0 + 2 sum_m J_{2m} = 1); the stable route whenever n >~ x."""
@@ -115,10 +139,17 @@ def _miller_jn(n: int, x: np.ndarray) -> np.ndarray:
     nz = x > 0.0
     if not np.any(nz):
         return out
-    xs = x[nz]
-    x_top = float(np.max(xs))
+    x_top = float(np.max(x[nz]))
     m_start = max(n, int(x_top)) + int(math.sqrt(40.0 * max(n, 2))) + 20
     m_start += m_start % 2  # even start keeps the normalization sum aligned
+    # a step multiplies j by up to 2 m_start / x, which the fixed 1e-10
+    # rescale keeps up with only while that is below 1e10
+    tiny = nz & (x < 2e-10 * m_start)
+    out[tiny] = _ascending_jn(n, x[tiny])
+    nz &= ~tiny
+    if not np.any(nz):
+        return out
+    xs = x[nz]
     jp = np.zeros_like(xs)
     j = np.full_like(xs, 1e-30)
     norm = np.zeros_like(xs)
@@ -186,6 +217,47 @@ def bessel_j(n: int, x: float | np.ndarray) -> float | np.ndarray:
         out[rest] = _miller_jn(n, xa[rest])
 
     return float(out[0]) if scalar else out
+
+
+def bessel_j_running_integral(n: int, x: float) -> float:
+    """int_0^x J_n(u) du for integer n >= 0 and finite x >= 0, from the
+    closed form 2 sum_{m>=0} J_{n+2m+1}(x) (Abramowitz & Stegun 11.1.1;
+    DLMF 10.22(i)); no quadrature.
+
+    One downward Miller recurrence at the single point x passes every order
+    of the sum and is normalized by the sum rule J_0 + 2 sum_m J_{2m} = 1.
+    It starts at _miller_jn's order with x added under the square root, so
+    the orders it drops are negligible for x >> n too.  Tiny x, where the
+    fixed rescale cannot keep up, takes the ascending series of J_{n+1} and
+    J_{n+3}; the next term is (x/2)^4 smaller.
+    """
+    if n < 0:
+        raise ValueError("bessel_j_running_integral requires n >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("bessel_j_running_integral requires finite x >= 0")
+    if x == 0.0:
+        return 0.0
+    top = max(n, int(x))
+    m_start = top + int(math.sqrt(40.0 * max(top, 2))) + 20
+    m_start += m_start % 2  # even start keeps the normalization sum aligned
+    if x < 2e-10 * m_start:
+        xa = np.array([x])
+        return 2.0 * float(_ascending_jn(n + 3, xa)[0] + _ascending_jn(n + 1, xa)[0])
+    jp, j = 0.0, 1e-30
+    norm = odd = 0.0
+    for m in range(m_start, 0, -1):
+        # after this step j holds J_{m-1}
+        jp, j = j, 2.0 * m / x * j - jp
+        if abs(j) > 1e10:
+            j *= 1e-10
+            jp *= 1e-10
+            norm *= 1e-10
+            odd *= 1e-10
+        if m % 2 == 1:  # J_{m-1} has even index
+            norm += j
+        if m > n + 1 and (m - n) % 2 == 0:  # m - 1 is one of n+1, n+3, ...
+            odd += j
+    return 2.0 * odd / (2.0 * norm - j)
 
 
 def bessel_j_integral(n: int, x: float) -> float:

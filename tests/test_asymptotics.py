@@ -1,13 +1,15 @@
 """Ray classification/geometry, long-time asymptotes, decay-exponent fits."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from chainwave import asymptotics as asym
-from chainwave import bounds, model, solver
+from chainwave import bounds, model, quadrature, solver, specfun
+from test_specfun import running_integral_reference
 
 mp.mp.dps = 30
 
@@ -261,6 +263,45 @@ class TestBesselTimeIntegral:
     def test_requires_unpinned(self):
         with pytest.raises(ValueError):
             asym.bessel_time_integral(0, 1.0, PINNED)
+
+    @pytest.mark.parametrize(
+        "k, t, omega1",
+        # criterion 11's grid
+        [(k, t, 0.5) for k in (0, 1, 5) for t in (1.0, 10.0, 50.0)]
+        # the benchmark's unit kicks, k - site with site in [-3, 3]
+        + [(k, 384.0, 1.0) for k in (256, -256, -253, 259)]
+        + [(k, 2400.0, 1.0) for k in (800, -800, 797, -803)],
+    )
+    def test_against_mpmath(self, k, t, omega1):
+        # int_0^t J_2k(2 w1 s) ds = (1/2w1) int_0^x J_2k, x = 2 w1 t
+        x = 2.0 * omega1 * t
+        ref = running_integral_reference(abs(2 * k), x) / (2.0 * omega1)
+        value = asym.bessel_time_integral(k, t, model.ChainParams(0.0, omega1))
+        assert value == pytest.approx(ref, abs=1e-13)
+
+    def test_deep_tail_is_finite(self):
+        value = asym.bessel_time_integral(2000, 100.0, UNPINNED)
+        assert math.isfinite(value) and 0.0 <= value <= 1e-300
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_tiny_time(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = asym.bessel_time_integral(k, 1e-20, UNPINNED)
+        ref = running_integral_reference(2 * k, 2e-20) / 2.0
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_evaluates_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bessel_time_integral reached a quadrature route")
+
+        for module in (quadrature, specfun, asym):
+            for name in ("gauss_legendre_panels", "bessel_j"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert asym.bessel_time_integral(800, 2400.0, UNPINNED) == pytest.approx(
+            running_integral_reference(1600, 4800.0) / 2.0, abs=1e-13
+        )
 
 
 class TestAsymptoteReport:

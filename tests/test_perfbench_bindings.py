@@ -57,3 +57,16 @@ def test_epsilon_solve_reaches_p_values():
 def test_graded_half_integral_takes_n_second():
     # the tracer counts graded nodes from positional argument 1, named n
     assert list(inspect.signature(quadrature.graded_half_integral).parameters)[1] == "n"
+
+
+def test_ray_pointwise_kicks_pass_their_reference(tmp_path):
+    # the kick tasks check solve_at against bessel_time_integral within
+    # criterion 11's tolerance, so the benchmark's reference stays in Tier-1
+    workloads = _load("workloads")
+    workload = workloads.RayPointwise(501, tmp_path)
+    kicks = [task for task in workload.tasks if task.kind == "kick"]
+    assert len(kicks) == 2
+    for task in kicks:
+        _, checks = workload.run(task)
+        for reference, measure, limit in checks:
+            assert measure <= limit, (task.label, reference, measure, limit)

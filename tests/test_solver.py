@@ -312,6 +312,25 @@ class TestAliasBound:
         assert np.allclose(grid.values[0], ref.real, rtol=0.0, atol=1e-12)
 
 
+class TestCertifiedMesh:
+    """``certified_mesh`` returns n > 2 reach, so a grid slice's FFT gives
+    every site |k| <= k_max its own bin without a guard in ``solve_grid``."""
+
+    @pytest.mark.parametrize("reach", [0, 31, 32, 33, 100, 1000, 5000])
+    @pytest.mark.parametrize("slope", [math.inf, 0.25, 0.01])
+    def test_exceeds_twice_the_reach(self, reach, slope):
+        # log_bound(n) = -slope n: an infinite slope certifies every mesh
+        n_start = 64
+        n = quadrature.certified_mesh(lambda n: -slope * n, n_start, reach, 1e-11, 1 << 30)
+        assert n > 2 * reach
+        assert -slope * n < math.log(1e-11)
+        # and n is the first mesh of the doubling sequence that passes both
+        assert n % n_start == 0 and (n // n_start) & (n // n_start - 1) == 0
+        if n > n_start:
+            half = n // 2
+            assert half <= 2 * reach or -slope * half >= math.log(1e-11)
+
+
 class TestTrigEvaluations:
     """The trig route evaluates one certified mesh per solve, none past the cap."""
 

@@ -2,6 +2,7 @@
 closed forms and frozen 30-digit values)."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,9 @@ import pytest
 from chainwave import specfun
 
 mp.mp.dps = 30
+
+#: tiny arguments, down to where one Miller step outgrows the fixed rescale
+TINY_X = (1e-300, 1e-100, 1e-20, 1e-8)
 
 
 class TestGamma:
@@ -86,6 +90,67 @@ class TestBesselJ:
             specfun.bessel_j(-1, 1.0)
         with pytest.raises(ValueError):
             specfun.bessel_j(0, -1.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 10, 1000])
+    @pytest.mark.parametrize("x", TINY_X)
+    def test_tiny_arguments_against_mpmath(self, n, x):
+        # one recurrence step grows by 2m/x, past what a fixed rescale absorbs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = specfun.bessel_j(n, x)
+        with mp.workdps(40):
+            assert value == pytest.approx(float(mp.besselj(n, x)), rel=1e-13, abs=0.0)
+
+    def test_tiny_beside_large_argument(self):
+        # the recurrence start is set by the largest x of the call
+        xs = np.array([1e-8, 1e-20, 2.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = specfun.bessel_j(3, xs)
+        assert vec == pytest.approx([specfun.bessel_j(3, float(x)) for x in xs], rel=1e-13)
+
+
+def running_integral_reference(n, x):
+    """int_0^x J_n = x^(n+1) / (2^n (n+1) n!) 1F2((n+1)/2; n+1, (n+3)/2; -x^2/4)."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        head = x ** (n + 1) / (2**n * (n + 1) * mp.factorial(n))
+        half = mp.mpf(n + 1) / 2
+        return float(head * mp.hyp1f2(half, n + 1, half + 1, -x * x / 4))
+
+
+class TestBesselRunningIntegral:
+    @pytest.mark.parametrize(
+        "n, x",
+        [(0, 0.3), (0, 1.0), (3, 2.5), (10, 10.0), (2, 50.0), (101, 30.0), (40, 400.0), (0, 1e4)],
+    )
+    def test_against_mpmath(self, n, x):
+        assert specfun.bessel_j_running_integral(n, x) == pytest.approx(
+            running_integral_reference(n, x), abs=1e-13
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 10])
+    @pytest.mark.parametrize("x", TINY_X)
+    def test_tiny_arguments_against_mpmath(self, n, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = specfun.bessel_j_running_integral(n, x)
+        assert value == pytest.approx(running_integral_reference(n, x), rel=1e-13, abs=0.0)
+
+    def test_derivative_is_bessel_j(self):
+        n, x, h = 4, 7.3, 1e-4
+        slope = (
+            specfun.bessel_j_running_integral(n, x + h) - specfun.bessel_j_running_integral(n, x - h)
+        ) / (2.0 * h)
+        assert slope == pytest.approx(specfun.bessel_j(n, x), abs=1e-8)
+
+    def test_zero(self):
+        assert specfun.bessel_j_running_integral(7, 0.0) == 0.0
+
+    def test_domain_errors(self):
+        for n, x in ((-1, 1.0), (0, -1.0), (0, math.inf), (0, math.nan)):
+            with pytest.raises(ValueError):
+                specfun.bessel_j_running_integral(n, x)
 
 
 class TestLowerIncompleteGamma:
