@@ -56,6 +56,7 @@ from .oracle import (
     OracleConfig,
     energy_drift,
     integrate,
+    integrate_batch,
     integrate_snapshots,
     required_radius,
     validity_horizon,

@@ -5,12 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainwave import model, oracle, solver
 
 mp.mp.dps = 30
 
 UNPINNED = model.ChainParams(0.0, 1.0)
+#: the chains of acceptance criterion 1
+CRITERION_01_CHAINS = [(0.0, 1.0), (0.0, 0.5), (1.0, 1.0), (2.0, 0.7), (0.3, 2.0)]
 
 
 def random_state(seed, n=11, support_min=-5):
@@ -22,12 +26,172 @@ def random_state(seed, n=11, support_min=-5):
     )
 
 
+def criterion_01_states():
+    rng = np.random.default_rng(2024)
+    return [
+        model.LatticeState(-10, rng.uniform(-1, 1, 21), rng.uniform(-1, 1, 21))
+        for _ in range(3)
+    ]
+
+
+def reference_snapshots(state, params, times, cfg):
+    """Textbook velocity Verlet, with the oracle's segment rule and clamped ends."""
+    q = np.zeros(2 * cfg.radius + 1)
+    p = np.zeros_like(q)
+    lo = state.support_min + cfg.radius
+    q[lo : lo + len(state.q)] = state.q
+    p[lo : lo + len(state.p)] = state.p
+
+    def acceleration(q):
+        padded = np.concatenate(([0.0], q, [0.0]))
+        lap = padded[2:] - 2.0 * q + padded[:-2]
+        return params.omega1**2 * lap - params.omega0**2 * q
+
+    out, a, t_now = [], acceleration(q), 0.0
+    for t in times:
+        if t > t_now:
+            steps = max(1, int(round((t - t_now) / cfg.dt)))
+            dt = (t - t_now) / steps
+            for _ in range(steps):
+                q = q + dt * p + 0.5 * dt * dt * a
+                a_next = acceleration(q)
+                p = p + 0.5 * dt * (a + a_next)
+                a = a_next
+            t_now = t
+        out.append((q, p))
+    return out
+
+
+def assert_matches_reference(state, params, times, cfg, snaps, tol=1e-12):
+    for (q, p), snap in zip(reference_snapshots(state, params, times, cfg), snaps, strict=True):
+        assert snap.support_min == -cfg.radius
+        assert np.max(np.abs(snap.q - q)) <= tol
+        assert np.max(np.abs(snap.p - p)) <= tol
+
+
+class TestSummedForm:
+    """The summed kick-drift loop against the textbook velocity-Verlet loop."""
+
+    @pytest.mark.parametrize("chain", CRITERION_01_CHAINS)
+    def test_criterion_01_chains(self, chain):
+        params = model.ChainParams(*chain)
+        cfg = oracle.OracleConfig(
+            radius=oracle.required_radius(20, 25.0, params), dt=1e-3 / params.omega0_prime
+        )
+        state = criterion_01_states()[0]
+        times = [1.0, 5.0]
+        assert_matches_reference(
+            state, params, times, cfg, oracle.integrate_snapshots(state, params, times, cfg)
+        )
+
+    def test_segments_with_different_steps(self):
+        # 0.3, 0.7, 0.37 and 0.63 round to 23, 54, 28 and 48 steps of 0.013:
+        # every segment runs at its own effective step; t = 0 and a repeat
+        # record the state without stepping
+        cfg = oracle.OracleConfig(radius=40, dt=0.013)
+        times = [0.0, 0.3, 0.3, 1.0, 1.37, 2.0]
+        steps = [round(b / cfg.dt) for b in (0.3, 0.7, 0.37, 0.63)]
+        assert len({span / n for span, n in zip((0.3, 0.7, 0.37, 0.63), steps)}) == 4
+        state = random_state(31)
+        params = model.ChainParams(1.0, 1.0)
+        snaps = oracle.integrate_snapshots(state, params, times, cfg)
+        assert_matches_reference(state, params, times, cfg, snaps)
+        assert np.array_equal(snaps[0].q[35:46], state.q)
+        assert np.array_equal(snaps[0].p[35:46], state.p)
+        assert np.array_equal(snaps[1].q, snaps[2].q)
+
+    def test_weak_coupling(self):
+        params = model.ChainParams(2.0, 1e-8)
+        cfg = oracle.OracleConfig(radius=10, dt=1e-3 / params.omega0_prime)
+        state = random_state(32, n=5, support_min=-2)
+        times = [0.5, math.pi / 2.0]
+        assert_matches_reference(
+            state, params, times, cfg, oracle.integrate_snapshots(state, params, times, cfg)
+        )
+
+    def test_state_at_the_lattice_edge(self):
+        # data on the outermost sites reaches the zero ghost sites at once
+        cfg = oracle.OracleConfig(radius=10, dt=1e-2)
+        state = random_state(33, n=21, support_min=-10)
+        times = [1.0, 3.0]
+        assert_matches_reference(
+            state, UNPINNED, times, cfg, oracle.integrate_snapshots(state, UNPINNED, times, cfg)
+        )
+
+
+class TestBatch:
+    def test_columns_equal_one_state_runs(self):
+        # criterion 1's states, which it steps as one batch
+        params = model.ChainParams(0.3, 2.0)
+        cfg = oracle.OracleConfig(
+            radius=oracle.required_radius(20, 25.0, params), dt=1e-3 / params.omega0_prime
+        )
+        states = criterion_01_states() + [model.LatticeState.single_site(cfg.radius, q=1.0)]
+        times = [0.0, 1.0, 1.5]
+        batch = oracle.integrate_batch(states, params, times, cfg)
+        assert len(batch) == len(states)
+        for state, snaps in zip(states, batch):
+            for one, col in zip(oracle.integrate_snapshots(state, params, times, cfg), snaps):
+                assert np.array_equal(one.q, col.q) and np.array_equal(one.p, col.p)
+
+    def test_zero_column_stays_exactly_zero(self):
+        cfg = oracle.OracleConfig(radius=30, dt=1e-2)
+        states = [random_state(34), model.LatticeState.single_site(0), random_state(35)]
+        batch = oracle.integrate_batch(states, UNPINNED, [2.0, 4.0], cfg)
+        for snap in batch[1]:
+            assert not np.any(snap.q) and not np.any(snap.p)
+
+    def test_states_with_different_supports(self):
+        cfg = oracle.OracleConfig(radius=30, dt=1e-2)
+        states = [random_state(36, n=3, support_min=-30), random_state(37, n=4, support_min=27)]
+        batch = oracle.integrate_batch(states, UNPINNED, [2.0], cfg)
+        for state, snaps in zip(states, batch):
+            assert_matches_reference(state, UNPINNED, [2.0], cfg, snaps)
+
+    def test_every_state_is_checked(self):
+        cfg = oracle.OracleConfig(radius=20, dt=1e-2)
+        states = [model.LatticeState.single_site(0, q=1.0), model.LatticeState.single_site(21)]
+        with pytest.raises(ValueError, match="support"):
+            oracle.integrate_batch(states, UNPINNED, [1.0], cfg)
+
+    def test_empty_batch_rejected(self):
+        cfg = oracle.OracleConfig(radius=20, dt=1e-2)
+        with pytest.raises(ValueError, match="state"):
+            oracle.integrate_batch([], UNPINNED, [1.0], cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    qp=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=6
+    ),
+    support_min=st.integers(-12, 6),
+    scale=st.floats(-2.0, 2.0),
+    omega0=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+    omega1=st.floats(0.25, 2.0),
+    t=st.floats(0.0, 3.0),
+)
+def test_batch_is_columnwise_and_linear(qp, support_min, scale, omega0, omega1, t):
+    # each column is its own one-state run, and the map (q, p) -> (q(t), p(t)) is linear
+    params = model.ChainParams(omega0, omega1)
+    cfg = oracle.OracleConfig(radius=12, dt=0.05 / params.omega0_prime)
+    q, p = np.array(qp).T
+    a = model.LatticeState(support_min, q, p)
+    b = model.LatticeState(support_min, p, -q)
+    combined = model.LatticeState(support_min, q + scale * p, p - scale * q)
+    batch = oracle.integrate_batch([a, b, combined], params, [t], cfg)
+    one = oracle.integrate_snapshots(b, params, [t], cfg)[0]
+    assert np.array_equal(one.q, batch[1][0].q) and np.array_equal(one.p, batch[1][0].p)
+    (sa,), (sb,), (sc,) = batch
+    assert np.allclose(sc.q, sa.q + scale * sb.q, rtol=0.0, atol=1e-12)
+    assert np.allclose(sc.p, sa.p + scale * sb.p, rtol=0.0, atol=1e-12)
+
+
 class TestIntegrate:
     def test_zero_state_stays_zero(self):
         cfg = oracle.OracleConfig(radius=20, dt=1e-2)
         out = oracle.integrate(model.LatticeState.single_site(0), UNPINNED, 5.0, cfg)
-        assert np.allclose(out.q, 0.0)
-        assert np.allclose(out.p, 0.0)
+        assert not np.any(out.q) and not np.any(out.p)
 
     def test_decoupled_oscillator_limit(self):
         # omega1 -> 0: site 0 is a lone oscillator, q_0(t) = cos(omega0 t)
@@ -95,6 +259,9 @@ class TestIntegrate:
             dict(radius=20, dt=0.0),
             dict(radius=20, dt=math.nan),
             dict(radius=20, dt=math.inf),
+            dict(radius=2.5, dt=1e-2),
+            dict(radius=3.0, dt=1e-2),
+            dict(radius=True, dt=1e-2),
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -416,7 +416,7 @@ def test_grid_matches_pointwise_property(support_min, qp, params, t, sites):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    support_min=st.integers(-8, 8),
+    starts=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
     qp_a=state_draws,
     qp_b=state_draws,
     scale=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
@@ -424,19 +424,23 @@ def test_grid_matches_pointwise_property(support_min, qp, params, t, sites):
     t=st.floats(0.0, 40.0),
     k=st.integers(-30, 30),
 )
-def test_linearity_property(support_min, qp_a, qp_b, scale, params, t, k):
-    # q_k(t) is linear in the data (q, p)
-    size = min(len(qp_a), len(qp_b))
-    a = np.array(qp_a[:size]).T
-    b = np.array(qp_b[:size]).T
+def test_linearity_property(starts, qp_a, qp_b, scale, params, t, k):
+    # q_k(t) is linear in the data (q, p), also for data on different supports
+    a = model.LatticeState(starts[0], *np.array(qp_a).T)
+    b = model.LatticeState(starts[1], *np.array(qp_b).T)
     c_a, c_b = scale
+    lo = min(a.support_min, b.support_min)
+    hi = max(a.support_max, b.support_max)
+    combined = model.LatticeState(
+        lo,
+        [c_a * a.q_at(j) + c_b * b.q_at(j) for j in range(lo, hi + 1)],
+        [c_a * a.p_at(j) + c_b * b.p_at(j) for j in range(lo, hi + 1)],
+    )
 
-    def solve(q, p):
-        spectrum = model.forward_transform(model.LatticeState(support_min, q, p))
-        return solver.solve_at(spectrum, params, t, k, TIGHT)
+    def solve(state):
+        return solver.solve_at(model.forward_transform(state), params, t, k, TIGHT)
 
-    combined = solve(c_a * a[0] + c_b * b[0], c_a * a[1] + c_b * b[1])
-    assert combined == pytest.approx(c_a * solve(*a) + c_b * solve(*b), abs=1e-11)
+    assert solve(combined) == pytest.approx(c_a * solve(a) + c_b * solve(b), abs=1e-11)
 
 
 class TestSolveGrid:
