@@ -102,7 +102,7 @@ def _parse_grid(grid_spec, integer: bool = False) -> list:
         vals = [float(v) for v in grid_spec]
     elif isinstance(grid_spec, dict):
         start, stop = float(grid_spec["start"]), float(grid_spec["stop"])
-        count = int(grid_spec["count"])
+        count = _integer(grid_spec["count"], "grid count")
         scale = grid_spec.get("scale", "linear")
         if count < 1:
             raise ValueError("grid count must be >= 1")
@@ -123,6 +123,15 @@ def _parse_grid(grid_spec, integer: bool = False) -> list:
     if integer and isinstance(grid_spec, list) and any(v != round(v) for v in vals):
         raise ValueError("grid values must be integers")
     return [round(v) for v in vals] if integer else vals
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int: an int or an integral float, never a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _finite(value, low: float, strict: bool = False) -> float:
@@ -262,7 +271,9 @@ def _build_spectrum(raw: dict):
     if ("state" in data) == ("closed_form" in data):
         raise ValueError("initial_data must contain exactly one of 'state' or 'closed_form'")
     if "state" in data:
-        state = LatticeState.from_dict(_section(data, "state"))
+        fields = _section(data, "state")
+        _integer(fields["support_min"], "initial_data.state.support_min")
+        state = LatticeState.from_dict(fields)
         return forward_transform(state), state
     cf = _section(data, "closed_form")
     if cf["name"] == "alpha-family":
@@ -275,9 +286,9 @@ def _build_spectrum(raw: dict):
 def _build_solver_cfg(raw: dict) -> SolverConfig:
     s = _section(raw, "solver")
     return SolverConfig(
-        mesh_points=int(s.get("mesh_points", 64)),
+        mesh_points=_integer(s.get("mesh_points", 64), "solver.mesh_points"),
         tolerance=float(s.get("tolerance", 1e-11)),
-        max_mesh=int(s.get("max_mesh", 1 << 24)),
+        max_mesh=_integer(s.get("max_mesh", 1 << 24), "solver.max_mesh"),
     )
 
 
@@ -285,13 +296,13 @@ def _build_stress_cfg(stress: dict) -> SolverConfig:
     return SolverConfig(
         mesh_points=64,
         tolerance=float(stress.get("abs_tol", 1e-2)),
-        max_mesh=int(stress.get("max_mesh", 1 << 24)),
+        max_mesh=_integer(stress.get("max_mesh", 1 << 24), "full_chain.max_mesh"),
     )
 
 
 def _build_oracle_cfg(raw: dict) -> OracleConfig:
     o = _section(raw, "oracle")
-    return OracleConfig(radius=int(o["radius"]), dt=float(o["dt"]))
+    return OracleConfig(radius=_integer(o["radius"], "oracle.radius"), dt=float(o["dt"]))
 
 
 def _cmd_simulate(inputs: dict) -> tuple[list, dict, bool]:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import graded_coefficient, periodic_mesh, trig_coefficient, trig_mesh
+from .quadrature import graded_coefficient, graded_mesh_start
 
 #: imaginary residue above this fraction of the magnitude trips the
 #: Hermitian-symmetry assertion when real values are extracted
@@ -211,20 +211,21 @@ def _extract_real(value: complex, context: str) -> float:
 
 
 def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
-    """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam."""
+    """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam.
+
+    A trig pair's coefficients are read exactly; a closed form is
+    integrated on the graded route.
+    """
     if spectrum.singular_endpoints:
-        n0 = max(1 << 10, trig_mesh(k))
+        n0 = max(1 << 10, graded_mesh_start(k, 0.0))
         return (
             graded_coefficient(spectrum.q_fun, k, n0, 1e-10, 1 << 24),
             graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24),
         )
-    n0 = trig_mesh(k)
-    qc = trig_coefficient(lambda n: spectrum.q_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
-    pc = trig_coefficient(lambda n: spectrum.p_fun(periodic_mesh(n)), k, n0, 1e-12, 1 << 22)
-    return (
-        _extract_real(qc, f"inverse_transform q_{k}"),
-        _extract_real(pc, f"inverse_transform p_{k}"),
-    )
+    j = k - spectrum.support_min
+    if not 0 <= j < len(spectrum.q_coeffs):
+        return 0.0, 0.0
+    return float(spectrum.q_coeffs[j]), float(spectrum.p_coeffs[j])
 
 
 def energy(state: LatticeState, params: ChainParams) -> float:

@@ -3,8 +3,8 @@
 Three families cover every integral in the package:
 
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
-  for smooth periodic integrands, on a mesh certified in advance by an
-  a-priori error bound (``certified_mesh``) or refined by mesh doubling;
+  for smooth periodic integrands, on one mesh certified in advance by an
+  a-priori error bound (``certified_mesh``);
 * one power-graded half [0, pi] in real arithmetic, for spectra that are
   real, even in lam and singular only at lam = 0 (mod 2pi), such as
   |sin(lam/2)|^(-a);
@@ -23,7 +23,8 @@ import numpy as np
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when mesh doubling hits its cap before the tolerance is met."""
+    """Raised when no mesh within the cap meets the tolerance: the certified
+    mesh lies past it, or mesh doubling reaches it unconverged."""
 
 
 def refine_until(
@@ -60,13 +61,6 @@ def refine_until(
     )
 
 
-def trig_mesh(k: int, phase: float = 0.0) -> int:
-    """Starting mesh of the uniform trapezoid route: the power of two at or
-    above 8 (|k| + phase/pi + 16), ``phase`` being the largest phase
-    t * omega0' of the time factor (0 for the initial data alone)."""
-    return 1 << math.ceil(math.log2(8.0 * (abs(k) + phase / math.pi + 16.0)))
-
-
 def certified_mesh(
     log_bound: Callable[[int], float],
     n_start: int,
@@ -101,27 +95,6 @@ def periodic_mesh(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def trig_coefficient(
-    sample: Callable[[int], np.ndarray],
-    k: int,
-    n_start: int,
-    tolerance: float,
-    n_max: int,
-) -> complex:
-    """(1/2pi) int_0^{2pi} f(lam) e^{-ik lam} dlam for smooth periodic f.
-
-    ``sample(n)`` returns f on ``periodic_mesh(n)``; the uniform trapezoid
-    mean is refined through ``refine_until``.
-    """
-    return refine_until(lambda n: trapezoid_coefficient(sample(n), k), n_start, tolerance, n_max)
-
-
-def trapezoid_coefficient(values: np.ndarray, k: int) -> complex:
-    """Uniform trapezoid mean of f(lam) e^{-ik lam}, f given as ``values``
-    on ``periodic_mesh(len(values))``."""
-    return complex(np.mean(values * np.exp(-1j * k * periodic_mesh(len(values)))))
-
-
 #: exponent of the grading lam = 2 u^4, which clusters nodes at lam = 0 so that
 #: integrands with an |sin(lam/2)|^(-a), a < 1/2 singularity become
 #: Hoelder-smooth in u
@@ -148,7 +121,8 @@ def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) 
 
 def graded_mesh_start(k: int, phase: float) -> int:
     """Starting mesh of the graded route: the power of two at or above
-    4 (|k| + phase + 64), with ``phase`` = t * omega0' as in ``trig_mesh``."""
+    4 (|k| + phase + 64), ``phase`` being the largest phase t * omega0' of
+    the time factor (0 for the initial data alone)."""
     return 1 << math.ceil(math.log2(4.0 * (abs(k) + phase + 64.0)))
 
 

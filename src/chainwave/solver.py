@@ -10,7 +10,7 @@ in one evaluation, on a mesh certified in advance: the trapezoid error of
 mesh n is the aliased solution sum_{l != 0} q_{k+ln}(t), and because
 cos(t omega) and sin(t omega)/omega are entire in lam, a contour shift
 into the strip |Im lam| < a bounds it (Trefethen & Weideman, SIAM Review
-56, 2014); whole site ranges come out of a single FFT per time slice.
+56, 2014); the sites of a solve, one or many, come out of a single FFT.
 Endpoint-singular closed forms, real and even in lam, are integrated as a
 cosine transform over one power-graded half [0, pi], whose mesh doubles
 until two successive values agree.
@@ -26,14 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ChainParams, SpectralPair, _extract_real, dispersion
-from .quadrature import (
-    certified_mesh,
-    graded_coefficient,
-    graded_mesh_start,
-    periodic_mesh,
-    trapezoid_coefficient,
-    trig_mesh,
-)
+from .quadrature import certified_mesh, graded_coefficient, graded_mesh_start, periodic_mesh
 
 #: series/direct switch for sin(t omega)/omega
 _SINC_SWITCH = 1e-2
@@ -50,11 +43,12 @@ class EdgeDominanceWarning(UserWarning):
 class SolverConfig:
     """Mesh controls for the oscillatory quadrature.
 
-    ``mesh_points`` is the floor for the starting mesh (a power of two, so
-    coefficient extraction is one FFT).  On the trig route ``tolerance``
-    bounds the certified alias error of the one mesh evaluated; on the
-    graded route meshes double until two successive results differ by less
-    than ``tolerance``.  No mesh past ``max_mesh`` is evaluated.
+    ``mesh_points`` is the floor for the starting mesh on both routes (a
+    power of two, so coefficient extraction is one FFT).  On the trig route
+    the one mesh evaluated is the first of ``mesh_points`` 2^j whose
+    certified alias error is below ``tolerance``; on the graded route
+    meshes double until two successive results differ by less than
+    ``tolerance``.  No mesh past ``max_mesh`` is evaluated.
     """
 
     mesh_points: int = 64
@@ -207,13 +201,23 @@ def _trig_route_mesh(
     spectrum: SpectralPair, params: ChainParams, t: float, k_max: int, cfg: SolverConfig
 ) -> int:
     """The one mesh a trig solve evaluates for sites |k| <= k_max at time t:
-    ``certified_mesh`` from twice the starting mesh ``trig_mesh``.  It
-    exceeds 2 reach >= 2 k_max, so every such site has its own FFT bin."""
+    the first of ``mesh_points`` 2^j that exceeds 2 reach >= 2 k_max, so
+    that every such site has its own FFT bin, and whose alias bound is
+    below the tolerance."""
     support_max = spectrum.support_min + len(spectrum.q_coeffs) - 1
     reach = k_max + max(abs(spectrum.support_min), abs(support_max))
-    n_start = 2 * max(cfg.mesh_points, trig_mesh(k_max, t * params.omega0_prime))
     log_bound = _alias_log_bound(spectrum, params, t, reach)
-    return certified_mesh(log_bound, n_start, reach, cfg.tolerance, cfg.max_mesh)
+    return certified_mesh(log_bound, cfg.mesh_points, reach, cfg.tolerance, cfg.max_mesh)
+
+
+def _trig_sites(
+    spectrum: SpectralPair, params: ChainParams, t: float, sites: np.ndarray, cfg: SolverConfig
+) -> np.ndarray:
+    """Complex q_k(t) at ``sites`` of a trig pair: one certified mesh, one
+    ``_mesh_eval`` and one forward FFT."""
+    n = _trig_route_mesh(spectrum, params, t, int(np.max(np.abs(sites))), cfg)
+    coeffs = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")
+    return coeffs[np.mod(sites, n)]
 
 
 def solve_at(
@@ -231,8 +235,7 @@ def solve_at(
         n0 = max(cfg.mesh_points, graded_mesh_start(k, t * params.omega0_prime))
         evolved = evolve_spectrum(spectrum, params, t)
         return graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
-    n = _trig_route_mesh(spectrum, params, t, abs(k), cfg)
-    value = trapezoid_coefficient(_mesh_eval(spectrum, params, t, n), k)
+    value = complex(_trig_sites(spectrum, params, t, np.array([k]), cfg)[0])
     return _extract_real(value, f"solve_at(k={k}, t={t})")
 
 
@@ -256,7 +259,6 @@ def solve_grid(
         raise ValueError("times and sites must be non-empty")
     if not all(0.0 <= t < math.inf for t in times):
         raise ValueError("solve_grid requires finite t >= 0")
-    k_max = max(abs(sites[0]), abs(sites[-1]))
 
     if spectrum.singular_endpoints:
         values = np.empty((len(times), len(sites)))
@@ -266,15 +268,9 @@ def solve_grid(
         return SolutionGrid(params, tuple(times), tuple(sites), values)
 
     site_idx = np.asarray(sites)
-
-    def slice_at(t: float):
-        n = _trig_route_mesh(spectrum, params, t, k_max, cfg)
-        coeffs = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")
-        return coeffs[np.mod(site_idx, n)]
-
     values = np.empty((len(times), len(sites)))
     for i, t in enumerate(times):
-        row = slice_at(t)
+        row = _trig_sites(spectrum, params, t, site_idx, cfg)
         worst = np.argmax(np.abs(row.imag))
         _extract_real(complex(row[worst]), f"solve_grid(t={t})")
         values[i] = row.real

@@ -72,6 +72,23 @@ class TestValidate:
         cfg.update(command="asymptotics", regime="ray", beta=3.0, t_grid=[], k_grid=[16, 32])
         assert self._problems(cfg) == []
 
+    def test_integral_floats_are_integers(self):
+        cfg = dict(
+            ORACLE,
+            oracle={"radius": 60.0, "dt": 5e-4},
+            initial_data={"state": {"support_min": -1.0, "q": [1.0], "p": [0.0]}},
+            solver={"mesh_points": 64.0, "max_mesh": 1e6},
+            k_grid={"start": -3, "stop": 3, "count": 7.0},
+        )
+        inputs, problems = cli.parse(cli.RunConfig("oracle-compare", cfg, "x.csv"))
+        assert problems == []
+        assert inputs["oracle"].radius == 60 and inputs["state"].support_min == -1
+        assert (inputs["solver"].mesh_points, inputs["solver"].max_mesh) == (64, 10**6)
+        assert inputs["k_grid"] == [-3, -2, -1, 0, 1, 2, 3]
+        growth = dict(GROWTH, full_chain={"max_mesh": 1e6})
+        inputs, problems = cli.parse(cli.RunConfig("growth", growth, "x.csv"))
+        assert problems == [] and inputs["full_chain"]["solver"].max_mesh == 10**6
+
 
 VALID = json.dumps(base_simulate("o.csv"))
 GROWTH = {
@@ -145,6 +162,21 @@ class TestMalformedConfig:
             (*variant(GROWTH, t_grid=[1.0]), "t_grid: must be finite and > 1"),
             (*variant(SUPERSONIC_RAY), "k_grid: the ray regime needs sites k != 0"),
             (*variant(SUPERSONIC_RAY, beta=1.0), "k_grid: the ray regime needs sites k != 0"),
+            (*variant(ORACLE, oracle={"radius": 60.9, "dt": 5e-4}),
+             "oracle.radius must be an integer, not 60.9"),
+            (*variant(ORACLE, oracle={"radius": True, "dt": 5e-4}),
+             "oracle.radius must be an integer, not True"),
+            (*variant(base_simulate("o.csv"),
+                      initial_data={"state": {"support_min": -0.5, "q": [1.0], "p": [0.0]}}),
+             "initial_data.state.support_min must be an integer, not -0.5"),
+            (*variant(base_simulate("o.csv"), solver={"max_mesh": 1e6 + 0.5}),
+             "solver.max_mesh must be an integer, not 1000000.5"),
+            (*variant(base_simulate("o.csv"), solver={"mesh_points": 64.7}),
+             "solver.mesh_points must be an integer, not 64.7"),
+            (*variant(GROWTH, full_chain={"max_mesh": 1e6 + 0.5}),
+             "full_chain.max_mesh must be an integer, not 1000000.5"),
+            (*variant(base_simulate("o.csv"), k_grid={"start": -3, "stop": 3, "count": 7.9}),
+             "k_grid: grid count must be an integer, not 7.9"),
         ],
         ids=[
             "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
@@ -153,7 +185,10 @@ class TestMalformedConfig:
             "subsonic-floor-null", "oracle-match-inf", "k-grid-fractional",
             "simulate-t-negative", "bounds-check-t-negative", "oracle-compare-t-negative",
             "fixed-k-t-negative", "fixed-k-t-zero", "growth-t-below-1", "growth-t-1",
-            "supersonic-ray-k-zero", "critical-ray-k-zero",
+            "supersonic-ray-k-zero", "critical-ray-k-zero", "oracle-radius-fractional",
+            "oracle-radius-bool", "support-min-fractional", "solver-max-mesh-fractional",
+            "solver-mesh-points-fractional", "full-chain-max-mesh-fractional",
+            "grid-count-fractional",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, command, text, message):
@@ -245,11 +280,11 @@ class TestSimulate:
         out = tmp_path / "sim.csv"
         cfg = base_simulate(out)
         cfg["t_grid"] = [1e3]
-        cfg["solver"] = {"max_mesh": 4096}
+        cfg["solver"] = {"max_mesh": 1024}
         path = write_config(tmp_path, "c.json", cfg)
         assert cli.main(["simulate", "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "the error bound needs mesh 16384 > max_mesh=4096" in err
+        assert "the error bound needs mesh 2048 > max_mesh=1024" in err
         assert not out.exists()
 
 

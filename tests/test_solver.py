@@ -23,6 +23,21 @@ def spike(q=1.0, p=0.0, k=0):
     return model.forward_transform(model.LatticeState.single_site(k, q=q, p=p))
 
 
+def assert_first_certified(n, spectrum, params, t, k_max, cfg):
+    """n is the trig route's mesh for sites |k| <= k_max: the first of
+    mesh_points 2^j that exceeds 2 reach and whose alias bound is below the
+    tolerance, so half of it, if not below mesh_points, fails one of the two."""
+    support_max = spectrum.support_min + len(spectrum.q_coeffs) - 1
+    reach = k_max + max(abs(spectrum.support_min), abs(support_max))
+    log_bound = solver._alias_log_bound(spectrum, params, t, reach)
+    log_tolerance = math.log(cfg.tolerance)
+    steps = n // cfg.mesh_points
+    assert n % cfg.mesh_points == 0 and steps & (steps - 1) == 0
+    assert n > 2 * reach and log_bound(n) < log_tolerance
+    if n > cfg.mesh_points:
+        assert n // 2 <= 2 * reach or log_bound(n // 2) >= log_tolerance
+
+
 class TestSincKernel:
     def test_omega_zero_limit(self):
         assert solver.sinc_kernel(2.0, 0.0) == pytest.approx(2.0, rel=1e-15)
@@ -181,6 +196,30 @@ class TestSolveAt:
         spectrum = spike()
         got = solver.solve_at(spectrum, UNPINNED, 20.0, 4, solver.SolverConfig(tolerance=1e-13))
         assert got == pytest.approx(float(mp.besselj(8, 40)), abs=1e-12)
+        # at the tolerance edge: from a floor of 16, the bound alone picks the
+        # mesh, half of which it rejects, and the value still meets the
+        # tolerance, out to the wave front k = omega1 t
+        edge = solver.SolverConfig(mesh_points=16, tolerance=1e-13)
+        for t in (1.0, 10.0, 1e2, 1e3, 1e4):
+            # mpmath takes seconds per J_n(2t) for 0 << n < 2t at t = 1e4,
+            # so there the mid-cone site is replaced by k = 2
+            mid = int(t) // 2 if t < 1e4 else 2
+            for k in sorted({0, 1, mid, int(t)}):
+                n = solver._trig_route_mesh(spectrum, UNPINNED, t, k, edge)
+                assert_first_certified(n, spectrum, UNPINNED, t, k, edge)
+                ref = mp.besselj(2 * k, 2 * t, maxprec=50000, maxterms=10**6)
+                got = solver.solve_at(spectrum, UNPINNED, t, k, edge)
+                assert abs(got - float(ref)) < edge.tolerance, (t, k)
+        # a pinned chain against a mesh 2^4 times finer
+        spectrum = spike(q=1.0, p=-0.5, k=3)
+        params = model.ChainParams(1.0, 1.0)
+        for t in (1.0, 10.0, 1e2, 1e3, 1e4):
+            for k in (0, 3, -(int(t) // 2), int(t)):
+                n = solver._trig_route_mesh(spectrum, params, t, abs(k), edge)
+                assert_first_certified(n, spectrum, params, t, abs(k), edge)
+                ref = trapezoid_sites(spectrum, params, t, 16 * n, np.array([k]))[0].real
+                got = solver.solve_at(spectrum, params, t, k, edge)
+                assert abs(got - ref) < edge.tolerance, (t, k)
 
     def test_no_convergence_raises(self):
         cfg = solver.SolverConfig(mesh_points=16, tolerance=1e-13, max_mesh=32)
@@ -303,9 +342,10 @@ class TestAliasBound:
         spectrum = model.forward_transform(wide_state())
         params = model.ChainParams(0.5, 1.0)
         t = 3.0
-        n0 = quadrature.trig_mesh(0, t * params.omega0_prime)
         n = solver._trig_route_mesh(spectrum, params, t, 0, TIGHT)
-        assert n > 2 * n0 and n > 2 * 300
+        # the support radius, not the bound, sets this mesh
+        assert n == 1024
+        assert_first_certified(n, spectrum, params, t, 0, TIGHT)
         ref = trapezoid_sites(spectrum, params, t, self.REFERENCE_MESH, np.array([-2, 0, 5]))
         assert solver.solve_at(spectrum, params, t, 0, TIGHT) == pytest.approx(ref[1].real, abs=1e-12)
         grid = solver.solve_grid(spectrum, params, [t], [-2, 0, 5], TIGHT)
@@ -352,9 +392,11 @@ class TestTrigEvaluations:
 
     def test_one_evaluation_per_solve_at(self, meshes):
         params = model.ChainParams(0.5, 1.0)
-        solver.solve_at(spike(p=1.0), params, 20.0, 7, TIGHT)
-        # the mesh that doubling used to return: twice the starting mesh
-        assert meshes == [2 * quadrature.trig_mesh(7, 20.0 * params.omega0_prime)]
+        for t, mesh in ((20.0, 64), (200.0, 512)):
+            solver.solve_at(spike(p=1.0), params, t, 7, TIGHT)
+            assert meshes == [mesh]
+            assert_first_certified(mesh, spike(p=1.0), params, t, 7, TIGHT)
+            meshes.clear()
 
     def test_one_evaluation_per_grid_slice(self, meshes):
         solver.solve_grid(spike(p=1.0), UNPINNED, [0.0, 3.0, 30.0], range(-10, 11), TIGHT)
@@ -363,7 +405,7 @@ class TestTrigEvaluations:
     def test_no_evaluation_past_the_cap(self, meshes):
         spectrum = model.forward_transform(wide_state())
         params = model.ChainParams(0.5, 1.0)
-        # the starting mesh, 512, fits the cap; the certified one does not
+        # the support radius alone needs 1024 > 2 * 300, past the cap
         cfg = solver.SolverConfig(max_mesh=512)
         with pytest.raises(ConvergenceError, match=r"needs mesh 1024 > max_mesh=512"):
             solver.solve_at(spectrum, params, 3.0, 0, cfg)
@@ -381,7 +423,8 @@ class TestTrigEvaluations:
             str(err.value),
         )
         assert match is not None, str(err.value)
-        assert int(match[1]) == 2 * quadrature.trig_mesh(0, 2e4)
+        assert int(match[1]) == 16384
+        assert_first_certified(16384, spike(p=1.0), UNPINNED, 1e4, 0, cfg)
         assert float(match[2]) > -11.0
         assert meshes == []
 
