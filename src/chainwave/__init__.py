@@ -74,7 +74,6 @@ from .solver import (
     windowed_sup,
 )
 from .specfun import (
-    SpecFunResult,
     bessel_j,
     bohmer_sine_integral,
     dirichlet_constant_check,

@@ -68,6 +68,9 @@ _NEEDS_STATE = ("oracle-compare", "bounds-check", "asymptotics")
 #: commands that read k_grid
 _NEEDS_SITES = ("simulate", "oracle-compare", "asymptotics")
 
+#: most points a grid, or a t_grid x k_grid product, may hold; checked first
+MAX_GRID_POINTS = 1 << 20
+
 
 @dataclass
 class RunConfig:
@@ -99,13 +102,15 @@ def _section(parent: dict, key: str) -> dict:
 
 def _parse_grid(grid_spec, integer: bool = False) -> list:
     if isinstance(grid_spec, list):
-        vals = [float(v) for v in grid_spec]
+        _cap_points(len(grid_spec), "grid")
+        vals = [_real(v, "grid value") for v in grid_spec]
     elif isinstance(grid_spec, dict):
-        start, stop = float(grid_spec["start"]), float(grid_spec["stop"])
+        start, stop = (_real(grid_spec[end], f"grid {end}") for end in ("start", "stop"))
         count = _integer(grid_spec["count"], "grid count")
         scale = grid_spec.get("scale", "linear")
         if count < 1:
             raise ValueError("grid count must be >= 1")
+        _cap_points(count, "grid count")
         if scale == "linear":
             vals = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
         elif scale == "geometric":
@@ -134,9 +139,22 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _finite(value, low: float, strict: bool = False) -> float:
+def _real(value, key: str) -> float:
+    """``value`` as a float: an int or a float, never a bool or a string."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    return float(value)
+
+
+def _cap_points(points: int, key: str) -> None:
+    """Refuse a grid past ``MAX_GRID_POINTS`` before it is built."""
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{key} of {points} points exceeds the cap of {MAX_GRID_POINTS}")
+
+
+def _finite(value, key: str, low: float, strict: bool = False) -> float:
     """``value`` as a finite float, at least ``low`` (above it when ``strict``)."""
-    value = float(value)
+    value = _real(value, key)
     if not (value > low if strict else value >= low) or not math.isfinite(value):
         raise ValueError(f"must be finite and {'>' if strict else '>='} {low:g}")
     return value
@@ -146,7 +164,7 @@ def _time_grid(grid_spec, low: float, strict: bool = False) -> list:
     """A grid of times, each at least ``low`` (above it when ``strict``)."""
     times = _parse_grid(grid_spec)
     for t in times:
-        _finite(t, low, strict)
+        _finite(t, "t_grid", low, strict)
     return times
 
 
@@ -177,15 +195,18 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
             problems.append(message if message.startswith(key) else f"{key}: {message}")
         return None
 
+    def finite(key: str, value, low: float, strict: bool = False):
+        return build(key, _finite, value, key, low, strict)
+
     def tolerance(key: str, default: float) -> None:
         section = build("tolerances", _section, raw, "tolerances") or {}
-        inputs[key] = build(f"tolerances.{key}", _finite, section.get(key, default), 0.0, True)
+        inputs[key] = finite(f"tolerances.{key}", section.get(key, default), 0.0, True)
 
     params = inputs["params"] = build("params", _build_params, raw)
     pinned = params is not None and params.pinned
 
     if command == "growth":
-        eps = inputs["epsilon"] = build("epsilon", float, raw.get("epsilon", 0.4))
+        eps = inputs["epsilon"] = build("epsilon", _real, raw.get("epsilon", 0.4), "epsilon")
         if eps is not None and not 0.0 < eps < 0.5:
             problems.append("epsilon must lie in (0, 1/2)")
         if pinned:
@@ -193,13 +214,13 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
         t_grid = raw.get("t_grid", [10.0, 100.0, 1000.0])
         inputs["t_grid"] = build("t_grid", _time_grid, t_grid, 1.0, True)
         tolerance("identity_rel", 1e-8)
-        inputs["limit_t"] = build("limit_t", _finite, raw.get("limit_t", 1e6), 1.0)
+        inputs["limit_t"] = finite("limit_t", raw.get("limit_t", 1e6), 1.0)
         stress = build("full_chain", _section, raw, "full_chain")
         if stress:
             rel_tol = stress.get("rel_tol", 0.1)
             inputs["full_chain"] = {
-                "t": build("full_chain.t", _finite, stress.get("t", 1e6), 1.0),
-                "rel_tol": build("full_chain.rel_tol", _finite, rel_tol, 0.0, True),
+                "t": finite("full_chain.t", stress.get("t", 1e6), 1.0),
+                "rel_tol": finite("full_chain.rel_tol", rel_tol, 0.0, True),
                 "solver": build("full_chain", _build_stress_cfg, stress),
             }
         return inputs, problems
@@ -217,7 +238,7 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
     if command == "asymptotics" and regime not in ("fixed-k", "ray"):
         problems.append("asymptotics.regime must be 'fixed-k' or 'ray'")
     elif ray:
-        inputs["beta"] = build("beta", _finite, raw.get("beta", 0.0), 0.0, True)
+        inputs["beta"] = finite("beta", raw.get("beta", 0.0), 0.0, True)
         tolerance("subsonic_floor", 1e-6)
 
     # fixed-k asymptotes need t > 0; the ray regime takes its times from beta
@@ -229,6 +250,8 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
     k_grid = inputs["k_grid"] = build("k_grid", _parse_grid, raw.get("k_grid", []), True)
     if k_grid == [] and command in _NEEDS_SITES:
         problems.append("k_grid must be non-empty")
+    if command in _NEEDS_SITES and t_grid and k_grid:
+        build("t_grid x k_grid", _cap_points, len(t_grid) * len(k_grid), "t_grid x k_grid")
     if ray and k_grid and 0 in k_grid:
         problems.append("k_grid: the ray regime needs sites k != 0")
     inputs["solver"] = build("solver", _build_solver_cfg, raw)
@@ -260,9 +283,9 @@ def validate(config: RunConfig) -> list[str]:
 def _build_params(raw: dict) -> ChainParams:
     p = _section(raw, "params")
     return ChainParams(
-        omega0=float(p.get("omega0", 0.0)),
-        omega1=float(p["omega1"]),
-        spacing=float(p.get("spacing", 1.0)),
+        omega0=_real(p.get("omega0", 0.0), "params.omega0"),
+        omega1=_real(p["omega1"], "params.omega1"),
+        spacing=_real(p.get("spacing", 1.0), "params.spacing"),
     )
 
 
@@ -273,13 +296,16 @@ def _build_spectrum(raw: dict):
     if "state" in data:
         fields = _section(data, "state")
         _integer(fields["support_min"], "initial_data.state.support_min")
+        for name in ("q", "p"):
+            for v in fields[name]:
+                _real(v, f"initial_data.state.{name}")
         state = LatticeState.from_dict(fields)
         return forward_transform(state), state
     cf = _section(data, "closed_form")
     if cf["name"] == "alpha-family":
-        return alpha_spectrum(float(cf["alpha"])), None
+        return alpha_spectrum(_real(cf["alpha"], "initial_data.closed_form.alpha")), None
     if cf["name"] == "epsilon-family":
-        return epsilon_spectrum(float(cf["epsilon"])), None
+        return epsilon_spectrum(_real(cf["epsilon"], "initial_data.closed_form.epsilon")), None
     raise ValueError(f"unknown closed form {cf['name']!r}")
 
 
@@ -287,7 +313,7 @@ def _build_solver_cfg(raw: dict) -> SolverConfig:
     s = _section(raw, "solver")
     return SolverConfig(
         mesh_points=_integer(s.get("mesh_points", 64), "solver.mesh_points"),
-        tolerance=float(s.get("tolerance", 1e-11)),
+        tolerance=_real(s.get("tolerance", 1e-11), "solver.tolerance"),
         max_mesh=_integer(s.get("max_mesh", 1 << 24), "solver.max_mesh"),
     )
 
@@ -295,14 +321,15 @@ def _build_solver_cfg(raw: dict) -> SolverConfig:
 def _build_stress_cfg(stress: dict) -> SolverConfig:
     return SolverConfig(
         mesh_points=64,
-        tolerance=float(stress.get("abs_tol", 1e-2)),
+        tolerance=_real(stress.get("abs_tol", 1e-2), "full_chain.abs_tol"),
         max_mesh=_integer(stress.get("max_mesh", 1 << 24), "full_chain.max_mesh"),
     )
 
 
 def _build_oracle_cfg(raw: dict) -> OracleConfig:
     o = _section(raw, "oracle")
-    return OracleConfig(radius=_integer(o["radius"], "oracle.radius"), dt=float(o["dt"]))
+    radius = _integer(o["radius"], "oracle.radius")
+    return OracleConfig(radius=radius, dt=_real(o["dt"], "oracle.dt"))
 
 
 def _cmd_simulate(inputs: dict) -> tuple[list, dict, bool]:

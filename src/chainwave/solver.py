@@ -147,9 +147,11 @@ def _mesh_eval(
     onto their residues mod n; at the nodes e^{i k lam} depends only on
     k mod n, so the fold is exact for any coefficient span.  The products
     are formed in the synthesized arrays, so that peak memory stays at the
-    mesh-long arrays the synthesis needs.
+    mesh-long arrays the synthesis needs.  omega is evaluated for j <= n/2
+    and mirrored: exactly even, it leaves real data no imaginary residue.
     """
-    om = dispersion(params, periodic_mesh(n))
+    om = dispersion(params, periodic_mesh(n)[: n // 2 + 1])
+    om = np.concatenate([om, om[-2:0:-1]])
     c_q = np.zeros(n, dtype=complex)
     c_p = np.zeros(n, dtype=complex)
     idx = np.mod(np.arange(spectrum.support_min, spectrum.support_min + len(spectrum.q_coeffs)), n)
@@ -308,10 +310,17 @@ def windowed_sup(
     """sup over |k| <= window of |q_k(t)|, window-defaulted past the wave front.
 
     The fastest mode travels no faster than omega1, so a window of
-    1.1 * omega1 * t + 60 sites keeps the boundary values negligible.
+    1.1 * omega1 * t + 60 sites keeps the boundary values negligible.  A
+    trig window whose mesh would pass ``max_mesh`` is refused before its
+    sites are built.
     """
+    cfg = cfg or SolverConfig()
+    if not 0.0 <= t < math.inf:
+        raise ValueError("windowed_sup requires finite t >= 0")
     if window is None:
         window = int(math.ceil(1.1 * params.omega1 * t)) + 60
+    if not spectrum.singular_endpoints:
+        _trig_route_mesh(spectrum, params, t, window, cfg)
     sites = range(-window, window + 1)
     grid = solve_grid(spectrum, params, [t], sites, cfg)
     return max_norm(grid, 0)

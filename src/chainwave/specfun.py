@@ -2,31 +2,22 @@
 int_0^x J_n, gamma, lower incomplete gamma, and the generalized Fresnel
 (Bohmer) sine integral.
 
-Everything here is implemented in-repo with classical algorithms (Lanczos
-approximation, Miller's downward recurrence, Hankel asymptotic series,
-series/continued-fraction incomplete gamma a la Numerical Recipes ch. 6,
-the closed form int_0^x J_n = 2 sum_m J_{n+2m+1}(x)) and each function
-has an independent cross-check route used by the test suite and, for all
-but the running integral, the ``specfun-selftest`` CLI command.
+Everything here is implemented in-repo with classical algorithms: Lanczos;
+one downward Miller recurrence for J_n and int_0^x J_n = 2 sum_m
+J_{n+2m+1}(x) together; series/continued-fraction incomplete gamma a la
+Numerical Recipes ch. 6.  The tests check each function against mpmath or
+closed forms, J_n also against ``bessel_j_integral`` and the Bohmer closed
+form against ``bohmer_quadrature``.  The ``specfun-selftest`` CLI command
+checks only ``gamma_fn``, that Bohmer pair and ``dirichlet_constant_check``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import gauss_legendre_panels, periodic_mesh, tanh_sinh
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Dual-evaluation record: primary value, disagreement bound, method tag."""
-
-    value: float
-    est_error: float
-    method: str
 
 
 # --------------------------------------------------------------------------
@@ -81,36 +72,7 @@ def log_gamma(x: float) -> float:
 # Bessel J_n for integer n >= 0, x >= 0
 # --------------------------------------------------------------------------
 
-_ASYM_MIN_X = 15.0
-
-
-def _hankel_j01(n: int, x: np.ndarray) -> np.ndarray:
-    """J_0 or J_1 by the Hankel asymptotic expansion, valid for x >= ~15.
-
-    The P/Q series are summed until terms stop decreasing; truncation
-    error at x = 15 is below 1e-13 in absolute value.
-    """
-    mu = 4.0 * n * n
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    prev_mag = np.inf
-    for m in range(1, 30):
-        term = term * (mu - (2 * m - 1) ** 2) / m * inv8x
-        mag = float(np.max(np.abs(term)))
-        if mag >= prev_mag or mag < 1e-18:
-            break
-        prev_mag = mag
-        if m % 2 == 1:
-            q += term * (-1.0) ** ((m - 1) // 2)
-        else:
-            p += term * (-1.0) ** (m // 2)
-    chi = x - (0.5 * n + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _ascending_jn(n: int, x: np.ndarray) -> np.ndarray:
+def _ascending_jn(n: int, x: float) -> float:
     """J_n by the ascending series (x/2)^n / n! sum_k (-x^2/4)^k / (k! (n+1)_k)
     for tiny x, where it is one or two terms.
 
@@ -118,146 +80,82 @@ def _ascending_jn(n: int, x: np.ndarray) -> np.ndarray:
     (x/2)^n / n! is below the float range instead of overflowing n!.
     """
     half = 0.5 * x
-    term = np.ones_like(x)
+    term = 1.0
     for i in range(1, n + 1):
         term *= half / i
-        if not np.any(term):
+        if term == 0.0:
             return term
-    total = term.copy()
+    total = term
     for k in range(1, 10):
         term = term * (-half * half) / (k * (n + k))
         total += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+        if abs(term) <= 1e-17 * abs(total):
             break
     return total
 
 
-def _miller_jn(n: int, x: np.ndarray) -> np.ndarray:
-    """J_n by downward recurrence with Miller normalization (sum rule
-    J_0 + 2 sum_m J_{2m} = 1); the stable route whenever n >~ x."""
-    out = np.zeros_like(x)
-    nz = x > 0.0
-    if not np.any(nz):
-        return out
-    x_top = float(np.max(x[nz]))
-    m_start = max(n, int(x_top)) + int(math.sqrt(40.0 * max(n, 2))) + 20
+def _miller(n: int, x: float) -> tuple[float, float]:
+    """(J_n(x), int_0^x J_n) for integer n >= 0 and finite x > 0 by one
+    downward Miller recurrence at x, normalized by the sum rule J_0 + 2 sum_m
+    J_{2m} = 1; the integral is 2 sum_{m>=0} J_{n+2m+1}(x) (Abramowitz &
+    Stegun 11.1.1; DLMF 10.22(i)).  The start order has x under the square
+    root, so the orders it drops are negligible for x >> n too.  Tiny x, where
+    the fixed rescale cannot keep up, takes the ascending series; the integral
+    there keeps J_{n+1} and J_{n+3}, and the next term is (x/2)^4 smaller.
+    """
+    top = max(n, int(x))
+    m_start = top + int(math.sqrt(40.0 * max(top, 2))) + 20
     m_start += m_start % 2  # even start keeps the normalization sum aligned
     # a step multiplies j by up to 2 m_start / x, which the fixed 1e-10
     # rescale keeps up with only while that is below 1e10
-    tiny = nz & (x < 2e-10 * m_start)
-    out[tiny] = _ascending_jn(n, x[tiny])
-    nz &= ~tiny
-    if not np.any(nz):
-        return out
-    xs = x[nz]
-    jp = np.zeros_like(xs)
-    j = np.full_like(xs, 1e-30)
-    norm = np.zeros_like(xs)
-    target = np.zeros_like(xs)
-    for m in range(m_start, 0, -1):
-        # after this step j holds J_{m-1}
-        jm = 2.0 * m / xs * j - jp
-        jp = j
-        j = jm
-        # rescale to dodge overflow on long recurrences
-        big = np.abs(j) > 1e10
-        if np.any(big):
-            j[big] *= 1e-10
-            jp[big] *= 1e-10
-            norm[big] *= 1e-10
-            target[big] *= 1e-10
+    if x < 2e-10 * m_start:
+        return _ascending_jn(n, x), 2.0 * (_ascending_jn(n + 3, x) + _ascending_jn(n + 1, x))
+    jp, j = 0.0, 1e-30
+    norm = odd = 0.0
+    # orders above n feed both sums; after each step j holds J_{m-1}
+    for m in range(m_start, n + 1, -1):
+        jp, j = j, 2.0 * m / x * j - jp
+        if abs(j) > 1e10:
+            j, jp, norm, odd = j * 1e-10, jp * 1e-10, norm * 1e-10, odd * 1e-10
         if m % 2 == 1:  # J_{m-1} has even index
             norm += j
-        if m - 1 == n:
-            target = j.copy()
-    # norm accumulated J_0 + J_2 + J_4 + ...; sum rule gives the scale
-    norm = 2.0 * norm - j
-    out[nz] = target / norm
-    return out
+        if (m - n) % 2 == 0:  # m - 1 is one of n+1, n+3, ...
+            odd += j
+    # orders n down to 0 feed the normalization; J_n is the first of them,
+    # taken before its step's rescale so that every rescale applies to it
+    jn = 2.0 * (n + 1) / x * j - jp
+    for m in range(n + 1, 0, -1):
+        jp, j = j, 2.0 * m / x * j - jp
+        if abs(j) > 1e10:
+            j, jp, norm, odd, jn = j * 1e-10, jp * 1e-10, norm * 1e-10, odd * 1e-10, jn * 1e-10
+        if m % 2 == 1:
+            norm += j
+    scale = 2.0 * norm - j
+    return jn / scale, 2.0 * odd / scale
 
 
 def bessel_j(n: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Bessel function of the first kind J_n(x) for integer n >= 0, x >= 0.
-
-    Branch choice: ascending/Miller recurrence for small x or n >~ x,
-    Hankel asymptotics plus stable upward recurrence in the oscillatory
-    regime.  Absolute error below 1e-12 for x <= 1e4.
+    """Bessel function of the first kind J_n(x) for integer n >= 0 and
+    finite x >= 0, by one Miller recurrence per point (``_miller``), so a
+    point costs O(max(n, x)) steps.  Absolute error below 1e-12 for x <= 1e4.
     """
     if n < 0:
         raise ValueError("bessel_j requires n >= 0")
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < 0.0):
-        raise ValueError("bessel_j requires x >= 0")
-    out = np.zeros_like(xa)
-
-    zero = xa == 0.0
-    if n == 0:
-        out[zero] = 1.0
-
-    # oscillatory regime: Hankel J0/J1 then upward recurrence to n
-    up = xa >= max(_ASYM_MIN_X, 1.2 * n + 5.0)
-    if np.any(up):
-        xs = xa[up]
-        j0 = _hankel_j01(0, xs)
-        if n == 0:
-            out[up] = j0
-        else:
-            j1 = _hankel_j01(1, xs)
-            if n == 1:
-                out[up] = j1
-            else:
-                jm, jc = j0, j1
-                for m in range(1, n):
-                    jm, jc = jc, 2.0 * m / xs * jc - jm
-                out[up] = jc
-
-    rest = ~up & ~zero
-    if np.any(rest):
-        out[rest] = _miller_jn(n, xa[rest])
-
-    return float(out[0]) if scalar else out
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa >= 0.0) & (xa < math.inf)):
+        raise ValueError("bessel_j requires finite x >= 0")
+    out = [_miller(n, xi)[0] if xi > 0.0 else float(n == 0) for xi in xa.ravel().tolist()]
+    return out[0] if np.isscalar(x) else np.array(out).reshape(xa.shape)
 
 
 def bessel_j_running_integral(n: int, x: float) -> float:
     """int_0^x J_n(u) du for integer n >= 0 and finite x >= 0, from the
-    closed form 2 sum_{m>=0} J_{n+2m+1}(x) (Abramowitz & Stegun 11.1.1;
-    DLMF 10.22(i)); no quadrature.
-
-    One downward Miller recurrence at the single point x passes every order
-    of the sum and is normalized by the sum rule J_0 + 2 sum_m J_{2m} = 1.
-    It starts at _miller_jn's order with x added under the square root, so
-    the orders it drops are negligible for x >> n too.  Tiny x, where the
-    fixed rescale cannot keep up, takes the ascending series of J_{n+1} and
-    J_{n+3}; the next term is (x/2)^4 smaller.
-    """
+    closed form 2 sum_{m>=0} J_{n+2m+1}(x) by ``_miller``; no quadrature."""
     if n < 0:
         raise ValueError("bessel_j_running_integral requires n >= 0")
     if not 0.0 <= x < math.inf:
         raise ValueError("bessel_j_running_integral requires finite x >= 0")
-    if x == 0.0:
-        return 0.0
-    top = max(n, int(x))
-    m_start = top + int(math.sqrt(40.0 * max(top, 2))) + 20
-    m_start += m_start % 2  # even start keeps the normalization sum aligned
-    if x < 2e-10 * m_start:
-        xa = np.array([x])
-        return 2.0 * float(_ascending_jn(n + 3, xa)[0] + _ascending_jn(n + 1, xa)[0])
-    jp, j = 0.0, 1e-30
-    norm = odd = 0.0
-    for m in range(m_start, 0, -1):
-        # after this step j holds J_{m-1}
-        jp, j = j, 2.0 * m / x * j - jp
-        if abs(j) > 1e10:
-            j *= 1e-10
-            jp *= 1e-10
-            norm *= 1e-10
-            odd *= 1e-10
-        if m % 2 == 1:  # J_{m-1} has even index
-            norm += j
-        if m > n + 1 and (m - n) % 2 == 0:  # m - 1 is one of n+1, n+3, ...
-            odd += j
-    return 2.0 * odd / (2.0 * norm - j)
+    return _miller(n, x)[1] if x > 0.0 else 0.0
 
 
 def bessel_j_integral(n: int, x: float) -> float:
@@ -271,12 +169,6 @@ def bessel_j_integral(n: int, x: float) -> float:
     theta = periodic_mesh(n_mesh)
     return float(np.mean(np.cos(n * theta - x * np.sin(theta))))
 
-
-def bessel_j_dual(n: int, x: float) -> SpecFunResult:
-    """Recurrence value with the integral-representation disagreement bound."""
-    v1 = float(bessel_j(n, x))
-    v2 = bessel_j_integral(n, x)
-    return SpecFunResult(value=v1, est_error=abs(v1 - v2), method="recurrence")
 
 
 # --------------------------------------------------------------------------
@@ -381,12 +273,6 @@ def bohmer_quadrature(alpha: float) -> float:
     t1 = math.cos(cutoff) / cutoff ** (1.0 + alpha)
     t2 = (1.0 + alpha) * math.sin(cutoff) / cutoff ** (2.0 + alpha)
     return head + body + t1 + t2
-
-
-def bohmer_dual(alpha: float) -> SpecFunResult:
-    v1 = bohmer_sine_integral(alpha)
-    v2 = bohmer_quadrature(alpha)
-    return SpecFunResult(value=v1, est_error=abs(v1 - v2), method="series")
 
 
 def dirichlet_constant_check(cutoff: float = 1200.0) -> float:

@@ -177,6 +177,34 @@ class TestMalformedConfig:
              "full_chain.max_mesh must be an integer, not 1000000.5"),
             (*variant(base_simulate("o.csv"), k_grid={"start": -3, "stop": 3, "count": 7.9}),
              "k_grid: grid count must be an integer, not 7.9"),
+            (*variant(base_simulate("o.csv"), params={"omega0": 0.0, "omega1": True}),
+             "params.omega1 must be a number, not True"),
+            (*variant(base_simulate("o.csv"), params={"omega0": 0.0, "omega1": "1.0"}),
+             "params.omega1 must be a number, not '1.0'"),
+            (*variant(base_simulate("o.csv"), solver={"tolerance": True}),
+             "solver.tolerance must be a number, not True"),
+            (*variant(ORACLE, oracle={"radius": 60, "dt": "5e-4"}),
+             "oracle.dt must be a number, not '5e-4'"),
+            (*variant(ORACLE, tolerances={"oracle_match": True}),
+             "tolerances.oracle_match must be a number, not True"),
+            (*variant(GROWTH, limit_t="1e6"), "limit_t must be a number, not '1e6'"),
+            (*variant(base_simulate("o.csv"),
+                      initial_data={"state": {"support_min": 0, "q": [True], "p": [0.0]}}),
+             "initial_data.state.q must be a number, not True"),
+            (*variant(base_simulate("o.csv"),
+                      initial_data={"closed_form": {"name": "alpha-family", "alpha": "0.25"}}),
+             "initial_data.closed_form.alpha must be a number, not '0.25'"),
+            (*variant(base_simulate("o.csv"), t_grid=[0.0, "1.0"]),
+             "t_grid: grid value must be a number, not '1.0'"),
+            (*variant(base_simulate("o.csv"), k_grid={"start": False, "stop": 3, "count": 4}),
+             "k_grid: grid start must be a number, not False"),
+            (*variant(base_simulate("o.csv"), k_grid={"start": 0, "stop": 1, "count": 1e12}),
+             "k_grid: grid count of 1000000000000 points exceeds the cap of 1048576"),
+            (*variant(base_simulate("o.csv"), t_grid=[0.0] * (2**20 + 1)),
+             "t_grid: grid of 1048577 points exceeds the cap of 1048576"),
+            (*variant(base_simulate("o.csv"), t_grid={"start": 0, "stop": 1, "count": 2048},
+                      k_grid={"start": -512, "stop": 511, "count": 1024}),
+             "t_grid x k_grid of 2097152 points exceeds the cap of 1048576"),
         ],
         ids=[
             "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
@@ -188,7 +216,11 @@ class TestMalformedConfig:
             "supersonic-ray-k-zero", "critical-ray-k-zero", "oracle-radius-fractional",
             "oracle-radius-bool", "support-min-fractional", "solver-max-mesh-fractional",
             "solver-mesh-points-fractional", "full-chain-max-mesh-fractional",
-            "grid-count-fractional",
+            "grid-count-fractional", "params-real-bool", "params-real-string",
+            "solver-real-bool", "oracle-real-string", "tolerance-real-bool",
+            "scalar-real-string", "state-entry-real-bool", "closed-form-real-string",
+            "grid-value-real-string", "grid-start-real-bool", "grid-count-past-cap",
+            "grid-list-past-cap", "grid-product-past-cap",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, command, text, message):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -136,6 +137,15 @@ class TestSolveAt:
             dense = solver.evolve_spectrum(spectrum, params, 3.0)(quadrature.periodic_mesh(n))
             synthesized = solver._mesh_eval(spectrum, params, 3.0, n)
             assert np.max(np.abs(synthesized - dense)) < 1e-10
+
+    def test_phase_mesh_is_exactly_even(self):
+        # real data has Hermitian spectra, so an omega that is not exactly
+        # even in lam leaves an imaginary residue that grows with t
+        state = model.LatticeState(-1, np.array([0.3, 1.0, -0.5]), np.array([0.2, 0.0, 0.7]))
+        t, n = 1e5, 1 << 19
+        window = np.arange(-110060, 110061)
+        row = trapezoid_sites(model.forward_transform(state), UNPINNED, t, n, window)
+        assert np.max(np.abs(row.imag)) <= 1e-14
 
     def test_time_symmetry_cosine(self):
         # pure displacement data evolves through cos(t omega): even in t,
@@ -281,6 +291,17 @@ class TestMeshCap:
     def test_solve_grid(self):
         with pytest.raises(ConvergenceError):
             solver.solve_grid(spike(), UNPINNED, [1.0], [-(10**7), 0], self.CFG)
+
+    def test_windowed_sup_refuses_before_building_sites(self):
+        # the default window at t = 1e6 holds 2.2e6 sites
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
+                solver.windowed_sup(spike(p=1.0), UNPINNED, 1e6, solver.SolverConfig(max_mesh=4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def trapezoid_sites(spectrum, params, t, n, sites):
