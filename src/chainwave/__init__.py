@@ -44,6 +44,7 @@ from .bounds import (
 from .model import (
     ChainParams,
     LatticeState,
+    PowerSum,
     SpectralPair,
     dispersion,
     displacement_transform,

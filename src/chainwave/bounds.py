@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ChainParams, LatticeState, SpectralPair, require_unpinned
+from .model import ChainParams, LatticeState, PowerSum, SpectralPair, require_unpinned
 from .quadrature import tanh_sinh, tanh_sinh_pairs
 from .specfun import gamma_fn, lower_incomplete_gamma
 
@@ -126,8 +126,8 @@ def growth_family(alpha: float) -> GrowthFamily:
 def alpha_spectrum(alpha: float) -> SpectralPair:
     """Q = 0, P(lam) = a_alpha |sin(lam/2)|^(-alpha); unit L2 norm.
 
-    The integrable singularity at lam in {0, 2pi} routes all quadrature
-    through the graded-mesh path.
+    A closed form carrying its one-term power sum: the integrable
+    singularity at lam in {0, 2pi} keeps it off the trig route.
     """
     _check_alpha(alpha)
     a = alpha_normalization(alpha)
@@ -139,6 +139,7 @@ def alpha_spectrum(alpha: float) -> SpectralPair:
         q_fun=lambda lam: np.zeros(len(lam), dtype=complex),
         p_fun=p_fun,
         singular_endpoints=True,
+        power_sum=PowerSum(np.array([alpha]), np.array([a])),
     )
 
 
@@ -361,9 +362,11 @@ def build_epsilon_mesh(epsilon: float, level: int = 7) -> EpsilonSpectrum:
 
 
 def epsilon_spectrum(epsilon: float) -> SpectralPair:
-    """Q = 0 and the alpha-averaged P-tilde as a closed-form-by-quadrature pair.
+    """Q = 0 and the alpha-averaged P-tilde as a closed-form-by-quadrature pair,
+    carrying the 257-term power sum of its alpha mesh.
 
-    The alpha mesh has level 7.  Raises if refining it by one level still
+    The alpha mesh has level 7; its nodes depend on the level alone, so
+    every epsilon shares one alpha set.  Raises if refining it by one level still
     moves the value at lam = pi by more than 1e-9; there every
     |sin(lam/2)|^(-alpha) factor is 1, so P-tilde(pi) is the sum of the
     weights.
@@ -380,6 +383,7 @@ def epsilon_spectrum(epsilon: float) -> SpectralPair:
         q_fun=lambda lam: np.zeros(len(lam), dtype=complex),
         p_fun=p_fun,
         singular_endpoints=True,
+        power_sum=PowerSum(mesh.alphas, mesh.weights),
     )
 
 

@@ -12,6 +12,7 @@ omega(lam) = sqrt(omega0^2 + 4 omega1^2 sin^2(lam/2)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +23,27 @@ from .quadrature import graded_coefficient, graded_mesh_start
 #: imaginary residue above this fraction of the magnitude trips the
 #: Hermitian-symmetry assertion when real values are extracted
 IMAG_RESIDUE_TOL = 1e-10
+
+
+def _is_real(value) -> bool:
+    """True for a real number; bools (numpy's too) and strings are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _real_entries(values, name: str) -> np.ndarray:
+    """``values`` as a float array whose every entry was a real number.
+
+    The entries are checked one by one unless ``values`` is already a
+    numeric array: ``np.asarray([1, True])`` is an int64 array, so a bool
+    would pass a dtype check.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return values.astype(float)
+    entries = np.asarray(values, dtype=object)
+    for value in entries.flat:
+        if not _is_real(value):
+            raise ValueError(f"{name} entries must be real numbers, not {value!r}")
+    return entries.astype(float)
 
 
 @dataclass(frozen=True)
@@ -38,7 +60,10 @@ class ChainParams:
 
     def __post_init__(self) -> None:
         for name in ("omega0", "omega1", "spacing"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.omega1 <= 0.0:
             raise ValueError("omega1 must be positive")
@@ -86,8 +111,8 @@ class LatticeState:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        q = _real_entries(self.q, "q")
+        p = _real_entries(self.p, "p")
         if q.ndim != 1 or p.ndim != 1 or len(q) != len(p):
             raise ValueError("q and p must be 1-d arrays of equal length")
         if len(q) == 0:
@@ -96,8 +121,6 @@ class LatticeState:
             raise ValueError("q must be finite")
         if not np.all(np.isfinite(p)):
             raise ValueError("p must be finite")
-        q = q.copy()
-        p = p.copy()
         q.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -136,13 +159,35 @@ class LatticeState:
     def from_dict(cls, data: dict) -> "LatticeState":
         return cls(
             support_min=int(data["support_min"]),
-            q=np.asarray(data["q"], dtype=float),
-            p=np.asarray(data["p"], dtype=float),
+            q=data["q"],
+            p=data["p"],
         )
 
     @classmethod
     def single_site(cls, k: int = 0, q: float = 0.0, p: float = 0.0) -> "LatticeState":
         return cls(support_min=k, q=np.array([q]), p=np.array([p]))
+
+
+@dataclass(frozen=True)
+class PowerSum:
+    """The velocity spectrum P(lam) = sum_i weights_i |sin(lam/2)|^(-alphas_i),
+    0 < alphas_i < 1, of a closed form whose Q is 0."""
+
+    alphas: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        alphas = _real_entries(self.alphas, "alphas")
+        weights = _real_entries(self.weights, "weights")
+        if alphas.ndim != 1 or alphas.shape != weights.shape or len(alphas) == 0:
+            raise ValueError("alphas and weights must be 1-d arrays of equal, nonzero length")
+        if not np.all((alphas > 0.0) & (alphas < 1.0)):
+            raise ValueError("alphas must lie in (0, 1)")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        for name, arr in (("alphas", alphas), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -153,8 +198,12 @@ class SpectralPair:
     ``q_coeffs``/``p_coeffs`` at sites ``support_min`` onward.  A closed
     form sets ``singular_endpoints``, whose contract is: Q and P are real,
     even in lam, and singular only at lam = 0 (mod 2pi), with integrable
-    singularities like |sin(lam/2)|^(-a).  Quadrature then runs over one
-    power-graded half [0, pi].  That flag alone chooses the route.
+    singularities like |sin(lam/2)|^(-a).  That flag alone separates the
+    trig route from the closed-form routes.  A closed form is integrated
+    over one power-graded half [0, pi], unless it carries its
+    ``power_sum`` (Q = 0, P that sum) and the chain is unpinned: then the
+    solver first tries the steepest-descent route, whose cost does not
+    grow with t.
     """
 
     q_fun: Callable[[np.ndarray], np.ndarray]
@@ -163,12 +212,15 @@ class SpectralPair:
     support_min: int | None = None
     q_coeffs: np.ndarray | None = None
     p_coeffs: np.ndarray | None = None
+    power_sum: PowerSum | None = None
 
     def __post_init__(self) -> None:
         if not self.singular_endpoints and (
             self.support_min is None or self.q_coeffs is None or self.p_coeffs is None
         ):
             raise ValueError("a pair without singular_endpoints needs its trig coefficients")
+        if self.power_sum is not None and not self.singular_endpoints:
+            raise ValueError("a power sum is a closed form and needs singular_endpoints")
 
     def Q(self, lam: float | np.ndarray) -> complex | np.ndarray:
         arr = np.asarray(lam, dtype=float)

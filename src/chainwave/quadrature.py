@@ -1,6 +1,6 @@
 """Quadrature kernels shared by the solver and the special functions.
 
-Three families cover every integral in the package:
+Four families cover every integral in the package:
 
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
   for smooth periodic integrands, on one mesh certified in advance by an
@@ -10,7 +10,9 @@ Three families cover every integral in the package:
   |sin(lam/2)|^(-a);
 * tanh-sinh (double-exponential) rules for non-oscillatory integrals with
   algebraic endpoint singularities, where spectral convergence is wanted
-  at modest node counts.
+  at modest node counts;
+* Gauss-Laguerre rules for the legs of the steepest-descent route, on
+  which the oscillation e^{ixs} has become the decay e^{-u}.
 """
 
 from __future__ import annotations
@@ -228,6 +230,27 @@ def tanh_sinh(
         f"tanh-sinh quadrature did not stabilize to {tolerance:g} "
         f"by level {_TANH_SINH_MAX_LEVEL}"
     )
+
+
+def gauss_laguerre(n: int, betas) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rules for int_0^inf u^beta e^{-u} f(u) du, one for each
+    beta > -1, as ``(nodes, weights)`` of shape (len(betas), n).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    generalized Laguerre polynomials (diagonal 2j + beta + 1, off-diagonal
+    sqrt(j (j + beta))), and each weight is Gamma(beta + 1) times the
+    squared first component of its eigenvector.  One ``eigh`` call on the
+    stack of matrices serves every beta.
+    """
+    betas = np.asarray(betas, dtype=float)
+    j = np.arange(n)
+    jacobi = np.zeros((len(betas), n, n))
+    jacobi[:, j, j] = 2.0 * j + betas[:, None] + 1.0
+    # eigh reads the lower triangle only
+    jacobi[:, j[1:], j[:-1]] = np.sqrt(j[1:] * (j[1:] + betas[:, None]))
+    nodes, vectors = np.linalg.eigh(jacobi)
+    mass = np.array([math.gamma(b + 1.0) for b in betas])
+    return nodes, mass[:, None] * vectors[:, 0, :] ** 2
 
 
 @functools.cache

@@ -403,7 +403,9 @@ class TestGrowth:
         assert summary["full_chain"]["rel_err"] <= 0.1
 
     def test_full_chain_max_mesh_is_read(self, tmp_path):
-        cfg = dict(GROWTH, full_chain={"t": 1e4, "max_mesh": 256})
+        # at t = 1 the descent route misses abs_tol, so the graded route
+        # runs and its starting mesh passes max_mesh
+        cfg = dict(GROWTH, full_chain={"t": 1.0, "abs_tol": 1e-9, "max_mesh": 256})
         cfg["output_path"] = str(tmp_path / "g.csv")
         path = write_config(tmp_path, "c.json", cfg)
         assert cli.main(["growth", "--config", str(path)]) == 3

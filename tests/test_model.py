@@ -43,6 +43,20 @@ class TestChainParams:
         with pytest.raises(ValueError):
             model.ChainParams(**kwargs)
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "1.0"])
+    def test_bools_and_strings_rejected(self, bad):
+        # a bool is an int to Python, and would be stored as omega0=True
+        with pytest.raises(ValueError, match="omega0 must be a real number"):
+            model.ChainParams(bad, 1.0)
+        with pytest.raises(ValueError, match="omega1 must be a real number"):
+            model.ChainParams(0.0, bad)
+        with pytest.raises(ValueError, match="spacing must be a real number"):
+            model.ChainParams(0.0, 1.0, bad)
+
+    def test_numpy_scalars_accepted(self):
+        p = model.ChainParams(np.float64(0.5), np.int64(1))
+        assert p.omega0_prime == pytest.approx(math.hypot(0.5, 2.0))
+
 
 class TestDispersion:
     def test_unpinned_band_top(self):
@@ -213,9 +227,65 @@ class TestImmutability:
         with pytest.raises(ValueError):
             st.q[0] = 2.0
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), "1.0"])
+    def test_bool_and_string_entries_rejected(self, bad):
+        # np.asarray([1, True]) is an int64 array, so each entry is checked
+        data = {"support_min": 0, "q": [1.0, bad], "p": [0, 0]}
+        with pytest.raises(ValueError, match="q entries must be real numbers"):
+            model.LatticeState.from_dict(data)
+        with pytest.raises(ValueError, match="p entries must be real numbers"):
+            model.LatticeState(0, [0.0, 1], np.array([bad, 0], dtype=object))
+        with pytest.raises(ValueError, match="q entries must be real numbers"):
+            model.LatticeState(0, np.array([True, False]), [0.0, 0.0])
+
+    def test_numeric_entries_accepted(self):
+        data = {"support_min": 0, "q": [1, np.float32(0.5)], "p": [0, 2]}
+        st = model.LatticeState.from_dict(data)
+        assert st.q.dtype == float and list(st.q) == [1.0, 0.5] and list(st.p) == [0.0, 2.0]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="q must be finite"):
             model.LatticeState(0, [1.0, bad], [0.0, 0.0])
         with pytest.raises(ValueError, match="p must be finite"):
             model.LatticeState(0, [1.0, 0.0], [bad, 0.0])
+
+
+class TestPowerSum:
+    def test_alpha_family_carries_its_power_sum(self):
+        spectrum = bounds.alpha_spectrum(0.3)
+        ps = spectrum.power_sum
+        assert list(ps.alphas) == [0.3] and list(ps.weights) == [bounds.alpha_normalization(0.3)]
+
+    def test_epsilon_power_sum_matches_p_values(self):
+        spectrum = bounds.epsilon_spectrum(0.3)
+        ps = spectrum.power_sum
+        lam = np.array([1e-8, 0.01, 1.0, 3.0])
+        direct = np.abs(np.sin(lam / 2.0))[:, None] ** -ps.alphas @ ps.weights
+        assert np.allclose(spectrum.P(lam).real, direct, rtol=1e-12, atol=0.0)
+        # the alpha nodes depend on the rule level alone
+        assert np.array_equal(ps.alphas, bounds.epsilon_spectrum(0.2).power_sum.alphas)
+
+    @pytest.mark.parametrize(
+        "alphas, weights",
+        [
+            ([0.0], [1.0]),
+            ([1.0], [1.0]),
+            ([0.2, 0.3], [1.0]),
+            ([], []),
+            ([0.2], [math.nan]),
+            ([0.2], [True]),
+        ],
+    )
+    def test_invalid(self, alphas, weights):
+        with pytest.raises(ValueError):
+            model.PowerSum(alphas, weights)
+
+    def test_needs_a_closed_form(self):
+        state = model.LatticeState.single_site(0, p=1.0)
+        pair = model.forward_transform(state)
+        with pytest.raises(ValueError, match="singular_endpoints"):
+            model.SpectralPair(
+                pair.q_fun, pair.p_fun, support_min=0, q_coeffs=state.q, p_coeffs=state.p,
+                power_sum=model.PowerSum([0.2], [1.0]),
+            )

@@ -36,22 +36,38 @@ def test_every_workload_builds(tmp_path):
         assert cls(501, tmp_path).tasks, name
 
 
-def test_epsilon_solve_reaches_p_values():
-    # the tracer's bounds.p_values.* metrics time the slow-growth hot path
-    # only while the epsilon family evaluates P-tilde through p_values
+def _traced_epsilon_solve(params: model.ChainParams) -> dict:
+    """Tracer stats of one epsilon-family q_0(100) solve at tolerance 1e-2."""
     tracing = _load("tracing")
     spectrum = bounds.epsilon_spectrum(0.4)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         cfg = solver.SolverConfig(tolerance=1e-2)
-        solver.solve_at(spectrum, model.ChainParams(0.0, 0.5), 100.0, 0, cfg)
+        solver.solve_at(spectrum, params, 100.0, 0, cfg)
     finally:
         tracer.uninstall()
-    stats = tracer.stats(lambda task: True)
+    return tracer.stats(lambda task: True)
+
+
+def test_epsilon_solve_reaches_p_values():
+    # the tracer's bounds.p_values.* metrics time the graded route's hot
+    # path only while the epsilon family evaluates P-tilde through
+    # p_values; on the unpinned chain this solve takes the descent route,
+    # so the graded solve here is on a pinned chain
+    stats = _traced_epsilon_solve(model.ChainParams(0.1, 0.5))
     points = stats["bounds.p_values"]["count"]
     assert points > 0
     assert points == stats["model.dispersion"]["count"]
+
+
+def test_unpinned_epsilon_solve_skips_p_values():
+    # the descent route sums the power sum directly: no P-tilde point, no
+    # graded mesh
+    stats = _traced_epsilon_solve(model.ChainParams(0.0, 0.5))
+    assert "bounds.p_values" not in stats
+    assert "quadrature.graded_half_integral" not in stats
+    assert stats["solver.solve_at"]["calls"] == 1
 
 
 def test_graded_half_integral_takes_n_second():

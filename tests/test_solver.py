@@ -235,10 +235,11 @@ class TestSolveAt:
         cfg = solver.SolverConfig(mesh_points=16, tolerance=1e-13, max_mesh=32)
         with pytest.raises(ConvergenceError):
             solver.solve_at(spike(), UNPINNED, 50.0, 0, cfg)
-        # a run that reaches max_mesh says how close it came
+        # a run that reaches max_mesh says how close it came (on a pinned
+        # chain, since the unpinned one takes the descent route here)
         cfg = solver.SolverConfig(tolerance=1e-13, max_mesh=1024)
         with pytest.raises(ConvergenceError, match=r"the last mesh, 1024, still moved by") as err:
-            solver.solve_at(bounds.alpha_spectrum(0.25), model.ChainParams(0.0, 0.5), 50.0, 0, cfg)
+            solver.solve_at(bounds.alpha_spectrum(0.25), model.ChainParams(0.1, 0.5), 50.0, 0, cfg)
         assert float(str(err.value).rsplit(" ", 1)[1]) >= 1e-13
 
     def test_negative_time_rejected(self):
@@ -678,15 +679,125 @@ class TestNestedGradedNodes:
         assert sum(sizes) == max(meshes)
 
 
+class TestGaussLaguerre:
+    def test_matches_numpy_at_beta_zero(self):
+        nodes, weights = quadrature.gauss_laguerre(8, [0.0])
+        ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(8)
+        assert nodes[0] == pytest.approx(ref_nodes, rel=1e-14)
+        assert weights[0] == pytest.approx(ref_weights, rel=1e-13)
+
+    def test_exact_for_polynomials_of_degree_below_2n(self):
+        betas = [-0.5, 0.3, 0.99]
+        nodes, weights = quadrature.gauss_laguerre(8, betas)
+        assert nodes.shape == weights.shape == (3, 8)
+        for row, beta in enumerate(betas):
+            for j in range(16):
+                moment = float(np.sum(weights[row] * nodes[row] ** j))
+                assert moment == pytest.approx(math.gamma(beta + j + 1.0), rel=1e-13)
+
+
+def graded_reference(spectrum, params, t, k, cfg):
+    """``solve_at``'s graded route, called directly: the reference for the
+    descent route and for its fallbacks."""
+    n0 = max(cfg.mesh_points, quadrature.graded_mesh_start(k, t * params.omega0_prime))
+    evolved = solver.evolve_spectrum(spectrum, params, t)
+    return quadrature.graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
+
+
+def alpha_reference(alpha, t, k):
+    """30-digit mpmath q_k(t) of the alpha family at omega1 = 1/2."""
+    f = lambda lam: (
+        mp.sin(t * mp.sin(lam / 2)) / mp.sin(lam / 2) ** (1 + mp.mpf(alpha)) * mp.cos(k * lam)
+    )
+    a = bounds.alpha_normalization(alpha)
+    return float(a / mp.pi * mp.quad(f, [mp.pi * j / 16 for j in range(17)]))
+
+
+class TestDescentRoute:
+    """Power sums on the unpinned chain: steepest descent, graded fallback."""
+
+    HALF = model.ChainParams(0.0, 0.5)
+
+    @pytest.fixture
+    def no_graded(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graded route ran")
+
+        monkeypatch.setattr(solver, "graded_coefficient", refuse)
+
+    @pytest.mark.parametrize("t, ref", [(100.0, 1.142161137488487), (1e3, 2.074991813603672)])
+    def test_alpha_against_mpmath_values(self, no_graded, t, ref):
+        # mpmath q_0(t) at alpha = 0.25; the graded route at tolerance 1e-10
+        # is 9.1e-12 and 1.5e-11 off
+        got = solver.solve_at(bounds.alpha_spectrum(0.25), self.HALF, t, 0, TIGHT)
+        assert got == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.4])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_alpha_against_mpmath(self, no_graded, alpha, k):
+        got = solver.solve_at(
+            bounds.alpha_spectrum(alpha), self.HALF, 20.0, k, solver.SolverConfig(tolerance=1e-11)
+        )
+        assert got == pytest.approx(alpha_reference(alpha, 20.0, k), abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1e2, 1e3, 1e4])
+    def test_epsilon_against_graded(self, no_graded, t):
+        spectrum = bounds.epsilon_spectrum(0.3)
+        cfg = solver.SolverConfig(tolerance=1e-7)
+        got = solver.solve_at(spectrum, self.HALF, t, 0, cfg)
+        assert got == pytest.approx(graded_reference(spectrum, self.HALF, t, 0, cfg), abs=1e-7)
+
+    def test_growth_past_the_graded_route(self, no_graded):
+        # t = 1e9: the graded route's starting mesh is 2^32 nodes, past any cap
+        t = 1e9
+        cfg = solver.SolverConfig(tolerance=1e-6)
+        eps = bounds.epsilon_spectrum(0.4)
+        q0 = solver.solve_at(eps, self.HALF, t, 0, cfg)
+        weight_sum = float(np.sum(eps.power_sum.weights))
+        # criterion 06's remainder bound summed over the alpha average
+        assert abs(q0 - bounds.growth_prediction(t, 0.4, self.HALF)) <= weight_sum * (3.0 + 2.0 / t)
+        fam = bounds.growth_family(0.25)
+        q0 = solver.solve_at(bounds.alpha_spectrum(0.25), self.HALF, t, 0, cfg)
+        assert abs(q0 - fam.phi_alpha * t**fam.alpha) <= fam.a_alpha * (3.0 + 2.0 / t)
+
+    def test_graded_route_cannot_reach_1e9(self):
+        with pytest.raises(ConvergenceError, match="leaves no doubling"):
+            graded_reference(bounds.alpha_spectrum(0.25), self.HALF, 1e9, 0, solver.SolverConfig())
+
+    @pytest.mark.parametrize("family", sorted(GRADED_SPECTRA))
+    @pytest.mark.parametrize(
+        "params, t, k",
+        [
+            (HALF, 0.0, 0),
+            (HALF, 1e-300, 0),
+            (model.ChainParams(0.1, 0.5), 100.0, 0),
+            (HALF, 100.0, 100),
+            (HALF, 1.0, 0),
+        ],
+        ids=["t=0", "tiny-t", "pinned", "large-k", "small-x"],
+    )
+    def test_fallback_is_the_graded_value(self, family, params, t, k):
+        # where the route does not apply or misses the tolerance, the solve
+        # is today's graded solve, bit for bit, and the attempt is silent
+        spectrum = GRADED_SPECTRA[family]()
+        cfg = solver.SolverConfig(tolerance=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver.solve_at(spectrum, params, t, k, cfg)
+        assert got == graded_reference(spectrum, params, t, k, cfg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     alpha=st.floats(0.1, 0.4),
     omega1=st.floats(0.25, 2.0),
-    t=st.floats(0.0, 50.0),
+    t=st.floats(0.0, 1e3),
     k=st.integers(-8, 8),
 )
 def test_graded_coupling_rescaling(alpha, omega1, t, k):
-    # velocity-only data: q^{w1}(t) = q^{1/2}(2 w1 t) / (2 w1) on the graded route
+    # velocity-only data: q^{w1}(t) = q^{1/2}(2 w1 t) / (2 w1); the rescaled
+    # phase x = 2 w1 t runs from the graded route (small x, or k^2 > 4x)
+    # into the descent route, and the two sides may take different routes
     spectrum = bounds.alpha_spectrum(alpha)
     cfg = solver.SolverConfig(tolerance=1e-9)
     lhs = solver.solve_at(spectrum, model.ChainParams(0.0, omega1), t, k, cfg)
