@@ -41,7 +41,7 @@ from .bounds import (
 from .model import ChainParams, LatticeState, energy, forward_transform
 from .oracle import MAX_STEP_FREQUENCY, OracleConfig, integrate_snapshots, required_radius
 from .quadrature import ConvergenceError, tanh_sinh
-from .reports import summary_path_for, write_csv, write_summary
+from .reports import GridRows, summary_path_for, write_csv, write_summary
 from .solver import SolverConfig, solve_at, solve_grid, windowed_sup
 from .specfun import (
     bohmer_quadrature,
@@ -332,19 +332,15 @@ def _build_oracle_cfg(raw: dict) -> OracleConfig:
     return OracleConfig(radius=radius, dt=_real(o["dt"], "oracle.dt"))
 
 
-def _cmd_simulate(inputs: dict) -> tuple[list, dict, bool]:
+def _cmd_simulate(inputs: dict) -> tuple[GridRows, dict, bool]:
     grid = solve_grid(
         inputs["spectrum"], inputs["params"], inputs["t_grid"], inputs["k_grid"], inputs["solver"]
     )
-    rows = list(grid.rows())
-    summary = {
-        "max_abs_q": max((abs(r[2]) for r in rows), default=0.0),
-        "rows": len(rows),
-    }
-    return rows, summary, True
+    summary = {"max_abs_q": float(np.max(np.abs(grid.values))), "rows": grid.values.size}
+    return grid.rows(), summary, True
 
 
-def _cmd_oracle_compare(inputs: dict) -> tuple[list, dict, bool]:
+def _cmd_oracle_compare(inputs: dict) -> tuple[GridRows, dict, bool]:
     params = inputs["params"]
     times = sorted(inputs["t_grid"])
     sites = sorted(set(inputs["k_grid"]))
@@ -352,13 +348,12 @@ def _cmd_oracle_compare(inputs: dict) -> tuple[list, dict, bool]:
 
     grid = solve_grid(inputs["spectrum"], params, times, sites, inputs["solver"])
     snapshots = integrate_snapshots(inputs["state"], params, times, inputs["oracle"])
-    rows = list(grid.rows())
-    oracle_rows = [(t, k, snap.q_at(k)) for t, snap in zip(times, snapshots) for k in sites]
-    worst = max((abs(r[2] - o[2]) for r, o in zip(rows, oracle_rows)), default=0.0)
+    oracle = np.array([[snap.q_at(k) for k in sites] for snap in snapshots])
+    worst = float(np.max(np.abs(grid.values - oracle)))
     oracle_path = inputs["oracle_csv"]
-    write_csv(oracle_path, ["t", "k", "q"], oracle_rows)
+    write_csv(oracle_path, ["t", "k", "q"], GridRows(times, sites, oracle))
     summary = {"max_residual": worst, "oracle_csv": str(oracle_path), "tolerance": tol}
-    return rows, summary, worst <= tol
+    return grid.rows(), summary, worst <= tol
 
 
 def _cmd_bounds_check(inputs: dict) -> tuple[list, dict, bool]:

@@ -46,6 +46,7 @@ from .quadrature import (
     graded_mesh_start,
     periodic_mesh,
 )
+from .reports import GridRows, write_csv
 from .specfun import bohmer_sine_integral
 
 #: series/direct switch for sin(t omega)/omega
@@ -115,16 +116,16 @@ class SolutionGrid:
     def at(self, t_index: int, site: int) -> float:
         return float(self.values[t_index, self.sites.index(site)])
 
-    def rows(self):
-        """Yield (t, k, q) in deterministic order: t-major, k ascending."""
-        for i, t in enumerate(self.times):
-            for k, q in zip(self.sites, self.values[i].tolist()):
-                yield t, k, q
+    def rows(self) -> GridRows:
+        """The (t, k, q) rows, t-major and k ascending, q as Python floats.
+
+        The rows object iterates as often as asked; ``write_csv`` formats
+        it a time slice at a time, by the same rule as any other rows.
+        """
+        return GridRows(self.times, self.sites, self.values)
 
     def to_csv(self, path) -> None:
         """Write the grid as ``t,k,q`` rows (deterministic order/format)."""
-        from .reports import write_csv
-
         write_csv(path, ["t", "k", "q"], self.rows())
 
 
@@ -362,27 +363,23 @@ def solve_grid(
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
-    sites = sorted({int(k) for k in sites})
-    if not times or not sites:
+    site_idx = np.asarray(sorted(set(map(int, sites))))
+    if not times or not site_idx.size:
         raise ValueError("times and sites must be non-empty")
     if not all(0.0 <= t < math.inf for t in times):
         raise ValueError("solve_grid requires finite t >= 0")
 
-    if spectrum.singular_endpoints:
-        values = np.empty((len(times), len(sites)))
-        for i, t in enumerate(times):
-            for j, k in enumerate(sites):
-                values[i, j] = solve_at(spectrum, params, t, k, cfg)
-        return SolutionGrid(params, tuple(times), tuple(sites), values)
-
-    site_idx = np.asarray(sites)
-    values = np.empty((len(times), len(sites)))
+    values = np.empty((len(times), site_idx.size))
     for i, t in enumerate(times):
+        if spectrum.singular_endpoints:
+            values[i] = [solve_at(spectrum, params, t, k, cfg) for k in site_idx.tolist()]
+            continue
         row = _trig_sites(spectrum, params, t, site_idx, cfg)
         worst = np.argmax(np.abs(row.imag))
         _extract_real(complex(row[worst]), f"solve_grid(t={t})")
         values[i] = row.real
-    return SolutionGrid(params, tuple(times), tuple(sites), values)
+    # the sites' Python ints are built after the meshes are freed
+    return SolutionGrid(params, tuple(times), tuple(site_idx.tolist()), values)
 
 
 def max_norm(grid: SolutionGrid, t_index: int) -> float:
