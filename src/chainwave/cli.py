@@ -329,6 +329,7 @@ def _build_stress_cfg(stress: dict) -> SolverConfig:
 def _build_oracle_cfg(raw: dict) -> OracleConfig:
     o = _section(raw, "oracle")
     radius = _integer(o["radius"], "oracle.radius")
+    _cap_points(2 * radius + 1, "oracle.radius: a lattice")
     return OracleConfig(radius=radius, dt=_real(o["dt"], "oracle.dt"))
 
 

@@ -205,6 +205,10 @@ class TestMalformedConfig:
             (*variant(base_simulate("o.csv"), t_grid={"start": 0, "stop": 1, "count": 2048},
                       k_grid={"start": -512, "stop": 511, "count": 1024}),
              "t_grid x k_grid of 2097152 points exceeds the cap of 1048576"),
+            (*variant(ORACLE, oracle={"radius": 10**12, "dt": 5e-4}),
+             "oracle.radius: a lattice of 2000000000001 points exceeds the cap of 1048576"),
+            (*variant(ORACLE, oracle={"radius": 2**19, "dt": 5e-4}),
+             "oracle.radius: a lattice of 1048577 points exceeds the cap of 1048576"),
         ],
         ids=[
             "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
@@ -220,7 +224,8 @@ class TestMalformedConfig:
             "solver-real-bool", "oracle-real-string", "tolerance-real-bool",
             "scalar-real-string", "state-entry-real-bool", "closed-form-real-string",
             "grid-value-real-string", "grid-start-real-bool", "grid-count-past-cap",
-            "grid-list-past-cap", "grid-product-past-cap",
+            "grid-list-past-cap", "grid-product-past-cap", "oracle-radius-past-cap",
+            "oracle-lattice-one-past-cap",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, command, text, message):
@@ -234,6 +239,7 @@ class TestMalformedConfig:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert message in err
+        assert [p.name for p in tmp_path.iterdir() if p != path] == []
 
 
 class TestSimulate:

@@ -100,6 +100,20 @@ class TestSummedForm:
         assert np.array_equal(snaps[0].p[35:46], state.p)
         assert np.array_equal(snaps[1].q, snaps[2].q)
 
+    def test_subnormal_span(self):
+        # one step of dt = 2.2e-313 would keep p = drift / dt to ~11 digits
+        # (a linearity failure once found at this t); such a span records the
+        # state unchanged, and the next segment covers it
+        cfg = oracle.OracleConfig(radius=12, dt=0.05)
+        state = model.LatticeState(0, np.array([0.5, 0.3]), np.array([-0.75, 0.2]))
+        times = [2.2250738585e-313, 1.0]
+        snaps = oracle.integrate_snapshots(state, UNPINNED, times, cfg)
+        assert np.array_equal(snaps[0].q[12:14], state.q)
+        assert np.array_equal(snaps[0].p[12:14], state.p)
+        [(q, p)] = reference_snapshots(state, UNPINNED, [1.0], cfg)
+        assert np.max(np.abs(snaps[1].q - q)) <= 1e-12
+        assert np.max(np.abs(snaps[1].p - p)) <= 1e-12
+
     def test_weak_coupling(self):
         params = model.ChainParams(2.0, 1e-8)
         cfg = oracle.OracleConfig(radius=10, dt=1e-3 / params.omega0_prime)
@@ -117,6 +131,50 @@ class TestSummedForm:
         assert_matches_reference(
             state, UNPINNED, times, cfg, oracle.integrate_snapshots(state, UNPINNED, times, cfg)
         )
+
+
+class TestBlocks:
+    """Blocks of K = min(BLOCK_STEPS, sites) steps against the textbook loop."""
+
+    PARAMS = model.ChainParams(1.0, 1.0)
+
+    @staticmethod
+    def edge_state(radius):
+        # data on every site, the outermost ones next to the zero ghosts included
+        return random_state(40 + radius, n=2 * radius + 1, support_min=-radius)
+
+    @pytest.mark.parametrize("step", [0.1, oracle.MAX_STEP_FREQUENCY])
+    @pytest.mark.parametrize("radius", [1, 2, 40])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (5, 3)])
+    def test_step_counts(self, step, radius, blocks, extra):
+        # 1, K - 1, K, K + 1, 2K + 1 and 5K + 3 steps; radius 1 and 2 give
+        # lattices of 3 and 5 sites, shorter than BLOCK_STEPS; at the
+        # stability limit the stencils keep nearly all of their 2K + 1 sites
+        steps = blocks * min(oracle.BLOCK_STEPS, 2 * radius + 1) + extra
+        cfg = oracle.OracleConfig(radius=radius, dt=step / self.PARAMS.omega0_prime)
+        times = [steps * cfg.dt]
+        assert round(times[0] / cfg.dt) == steps
+        state = self.edge_state(radius)
+        snaps = oracle.integrate_snapshots(state, self.PARAMS, times, cfg)
+        assert_matches_reference(state, self.PARAMS, times, cfg, snaps)
+
+    @pytest.mark.parametrize("radius", [1, 2, 40])
+    def test_segments_with_different_steps(self, radius):
+        # segments of 2K + 1, 5K + 3, K + 1 and 2K + 1 steps, each span off a
+        # multiple of dt by a different fraction of a step, so each segment
+        # runs at its own step size; a repeated time records without stepping
+        block = min(oracle.BLOCK_STEPS, 2 * radius + 1)
+        cfg = oracle.OracleConfig(radius=radius, dt=0.05)
+        segments = [
+            (2 * block + 1, 0.0), (5 * block + 3, 0.4), (block + 1, -0.3), (2 * block + 1, 0.2)
+        ]
+        times = [0.0]
+        for steps, fraction in segments:
+            times.append(times[-1] + (steps + fraction) * cfg.dt)
+        times.insert(2, times[1])
+        state = self.edge_state(radius)
+        snaps = oracle.integrate_snapshots(state, self.PARAMS, times, cfg)
+        assert_matches_reference(state, self.PARAMS, times, cfg, snaps)
 
 
 class TestBatch:
