@@ -57,7 +57,6 @@ from .oracle import (
     OracleConfig,
     energy_drift,
     integrate,
-    integrate_batch,
     integrate_snapshots,
     required_radius,
     validity_horizon,

@@ -126,21 +126,10 @@ def growth_family(alpha: float) -> GrowthFamily:
 def alpha_spectrum(alpha: float) -> SpectralPair:
     """Q = 0, P(lam) = a_alpha |sin(lam/2)|^(-alpha); unit L2 norm.
 
-    A closed form carrying its one-term power sum: the integrable
-    singularity at lam in {0, 2pi} keeps it off the trig route.
+    A closed form: its one-term power sum.
     """
     _check_alpha(alpha)
-    a = alpha_normalization(alpha)
-
-    def p_fun(lam: np.ndarray) -> np.ndarray:
-        return a * np.abs(np.sin(lam / 2.0)) ** (-alpha) + 0j
-
-    return SpectralPair(
-        q_fun=lambda lam: np.zeros(len(lam), dtype=complex),
-        p_fun=p_fun,
-        singular_endpoints=True,
-        power_sum=PowerSum(np.array([alpha]), np.array([a])),
-    )
+    return SpectralPair(power_sum=PowerSum([alpha], [alpha_normalization(alpha)]))
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +214,7 @@ def _panel_points(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EpsilonSpectrum:
+class EpsilonSpectrum(PowerSum):
     """Quadrature discretization of the alpha average defining P-tilde.
 
     ``alphas``/``weights`` form a double-exponential rule on (0, 1/2),
@@ -234,27 +223,22 @@ class EpsilonSpectrum:
 
     P-tilde(lam) = sum_i weights_i e^{alpha_i x}, x = -ln|sin(lam/2)|, is
     evaluated through a piecewise-Chebyshev interpolant of ln P-tilde in
-    x.  Construction certifies it against the direct sum between the
+    x.  Construction certifies it against the power sum between the
     interpolation nodes of every panel and raises ``ValueError`` if the
     relative error exceeds ``_CHEB_REL_TOL``.
     """
 
     epsilon: float
-    alphas: np.ndarray
-    weights: np.ndarray
     #: (degree + 1, panels) Chebyshev coefficients of ln P-tilde, row j
     #: holding the T_j coefficient of every panel
     log_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("alphas", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        super().__post_init__()
         # ln P-tilde at the Chebyshev points of each panel, then the
         # discrete Chebyshev transform per panel
         theta = np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1)
-        values = np.log(self._direct_sum(_panel_points(np.cos(theta))))
+        values = np.log(self._power_sum_at(_panel_points(np.cos(theta))))
         basis = np.cos(np.outer(np.arange(_CHEB_DEGREE + 1), theta))
         coeffs = basis @ values.reshape(_CHEB_PANELS, -1).T * (2.0 / (_CHEB_DEGREE + 1))
         coeffs[0] *= 0.5
@@ -264,7 +248,7 @@ class EpsilonSpectrum:
         # where the interpolation error peaks
         x = _panel_points(np.cos(np.pi * np.arange(1, _CHEB_DEGREE + 1) / (_CHEB_DEGREE + 1)))
         approx = np.exp(self._log_interpolant(x))
-        worst = float(np.max(np.abs(approx / self._direct_sum(x) - 1.0)))
+        worst = float(np.max(np.abs(approx / self._power_sum_at(x) - 1.0)))
         if not worst <= _CHEB_REL_TOL:
             raise ValueError(
                 f"P-tilde interpolant for epsilon={self.epsilon} has relative error "
@@ -275,12 +259,9 @@ class EpsilonSpectrum:
     def delta(self) -> float:
         return self.epsilon + 0.5
 
-    def _direct_sum(self, x: np.ndarray) -> np.ndarray:
-        """sum_i weights_i e^{alpha_i x}, term by term."""
-        out = np.zeros_like(x)
-        for w, a in zip(self.weights, self.alphas):
-            out += w * np.exp(a * x)
-        return out
+    def _power_sum_at(self, x: np.ndarray) -> np.ndarray:
+        """The power sum, term by term, where -ln|sin(lam/2)| = ``x``."""
+        return PowerSum.p_values(self, 2.0 * np.arcsin(np.exp(-x)))
 
     def _log_interpolant(self, x: np.ndarray) -> np.ndarray:
         """ln P-tilde from the interpolant at ``x``, all in [0, _LOG_X_MAX]."""
@@ -315,7 +296,7 @@ class EpsilonSpectrum:
         Runs over blocks of ``_CLENSHAW_BLOCK`` points, so the only array
         as long as ``lam`` is the result.  The interpolant covers
         x = -ln|sin(lam/2)| <= _LOG_X_MAX; larger x (and NaN) take the
-        direct sum.
+        power sum term by term.
         """
         lam = np.asarray(lam, dtype=float)
         out = np.empty(lam.shape)
@@ -329,7 +310,7 @@ class EpsilonSpectrum:
             np.exp(self._log_interpolant(np.fmin(x, _LOG_X_MAX)), out=block)
             far = ~(x <= _LOG_X_MAX)
             if np.any(far):
-                block[far] = self._direct_sum(x[far])
+                block[far] = PowerSum.p_values(self, flat_lam[start : start + len(x)][far])
         return out
 
 
@@ -362,8 +343,8 @@ def build_epsilon_mesh(epsilon: float, level: int = 7) -> EpsilonSpectrum:
 
 
 def epsilon_spectrum(epsilon: float) -> SpectralPair:
-    """Q = 0 and the alpha-averaged P-tilde as a closed-form-by-quadrature pair,
-    carrying the 257-term power sum of its alpha mesh.
+    """Q = 0 and the alpha-averaged P-tilde as a closed form: the power sum
+    of its alpha mesh, whose 47 nodes at alpha = 1/2 merge into one term.
 
     The alpha mesh has level 7; its nodes depend on the level alone, so
     every epsilon shares one alpha set.  Raises if refining it by one level still
@@ -375,16 +356,7 @@ def epsilon_spectrum(epsilon: float) -> SpectralPair:
     _, finer = _epsilon_rule(epsilon, 8)
     if abs(mesh.weights.sum() - finer.sum()) > 1e-9:
         raise ValueError(f"alpha mesh at level 7 not converged for epsilon={epsilon}")
-
-    def p_fun(lam: np.ndarray) -> np.ndarray:
-        return mesh.p_values(lam) + 0j
-
-    return SpectralPair(
-        q_fun=lambda lam: np.zeros(len(lam), dtype=complex),
-        p_fun=p_fun,
-        singular_endpoints=True,
-        power_sum=PowerSum(mesh.alphas, mesh.weights),
-    )
+    return SpectralPair(power_sum=mesh)
 
 
 def growth_main_integral_quadrature(t: float, delta: float) -> float:

@@ -39,7 +39,13 @@ from .bounds import (
     sqrt_growth_bound,
 )
 from .model import ChainParams, LatticeState, energy, forward_transform
-from .oracle import MAX_STEP_FREQUENCY, OracleConfig, integrate_snapshots, required_radius
+from .oracle import (
+    MAX_PASS_STEPS,
+    MAX_STEP_FREQUENCY,
+    OracleConfig,
+    integrate_snapshots,
+    required_radius,
+)
 from .quadrature import ConvergenceError, tanh_sinh
 from .reports import GridRows, summary_path_for, write_csv, write_summary
 from .solver import SolverConfig, solve_at, solve_grid, windowed_sup
@@ -264,6 +270,11 @@ def parse(config: RunConfig) -> tuple[dict[str, Any], list[str]]:
             if ocfg.dt * params.omega0_prime > MAX_STEP_FREQUENCY:
                 problems.append(
                     f"oracle.dt violates stability: dt * omega0' must be <= {MAX_STEP_FREQUENCY}"
+                )
+            if t_grid and max(t_grid) / ocfg.dt > MAX_PASS_STEPS:
+                problems.append(
+                    f"oracle.dt: max(t_grid) / dt = {max(t_grid) / ocfg.dt:.3g} exceeds "
+                    f"the cap of {MAX_PASS_STEPS} steps"
                 )
             if t_grid and k_grid:
                 needed = required_radius(max(abs(k) for k in k_grid), max(t_grid), params)

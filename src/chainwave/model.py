@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .quadrature import graded_coefficient, graded_mesh_start
 
 #: imaginary residue above this fraction of the magnitude trips the
 #: Hermitian-symmetry assertion when real values are extracted
@@ -171,7 +168,11 @@ class LatticeState:
 @dataclass(frozen=True)
 class PowerSum:
     """The velocity spectrum P(lam) = sum_i weights_i |sin(lam/2)|^(-alphas_i),
-    0 < alphas_i < 1, of a closed form whose Q is 0."""
+    0 < alphas_i < 1, of a closed form whose Q is 0.
+
+    Equal alphas are merged at construction, their weights summed; the
+    alphas come out ascending.
+    """
 
     alphas: np.ndarray
     weights: np.ndarray
@@ -185,9 +186,19 @@ class PowerSum:
             raise ValueError("alphas must lie in (0, 1)")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
+        alphas, where = np.unique(alphas, return_inverse=True)
+        weights = np.bincount(where, weights=weights, minlength=len(alphas))
         for name, arr in (("alphas", alphas), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def p_values(self, lam: np.ndarray) -> np.ndarray:
+        """P(lam) = sum_i weights_i |sin(lam/2)|^(-alphas_i), term by term."""
+        s = np.abs(np.sin(np.asarray(lam, dtype=float) / 2.0))
+        out = np.zeros_like(s)
+        for w, alpha in zip(self.weights, self.alphas):
+            out += w * s ** (-alpha)
+        return out
 
 
 @dataclass(frozen=True)
@@ -196,61 +207,47 @@ class SpectralPair:
 
     A trig pair is the trigonometric polynomial with coefficients
     ``q_coeffs``/``p_coeffs`` at sites ``support_min`` onward.  A closed
-    form sets ``singular_endpoints``, whose contract is: Q and P are real,
-    even in lam, and singular only at lam = 0 (mod 2pi), with integrable
-    singularities like |sin(lam/2)|^(-a).  That flag alone separates the
-    trig route from the closed-form routes.  A closed form is integrated
-    over one power-graded half [0, pi], unless it carries its
-    ``power_sum`` (Q = 0, P that sum) and the chain is unpinned: then the
-    solver first tries the steepest-descent route, whose cost does not
-    grow with t.
+    form is its ``power_sum``: Q = 0 and P that sum, real, even in lam and
+    singular only at lam = 0 (mod 2pi).  Exactly one of the two is given.
     """
 
-    q_fun: Callable[[np.ndarray], np.ndarray]
-    p_fun: Callable[[np.ndarray], np.ndarray]
-    singular_endpoints: bool = False
     support_min: int | None = None
     q_coeffs: np.ndarray | None = None
     p_coeffs: np.ndarray | None = None
     power_sum: PowerSum | None = None
 
     def __post_init__(self) -> None:
-        if not self.singular_endpoints and (
-            self.support_min is None or self.q_coeffs is None or self.p_coeffs is None
-        ):
-            raise ValueError("a pair without singular_endpoints needs its trig coefficients")
-        if self.power_sum is not None and not self.singular_endpoints:
-            raise ValueError("a power sum is a closed form and needs singular_endpoints")
+        trig = [v is not None for v in (self.support_min, self.q_coeffs, self.p_coeffs)]
+        if not (all(trig) if self.power_sum is None else not any(trig)):
+            raise ValueError(
+                "a spectral pair takes exactly one of its trig coefficients "
+                "(support_min, q_coeffs, p_coeffs) or a power_sum"
+            )
 
     def Q(self, lam: float | np.ndarray) -> complex | np.ndarray:
-        arr = np.asarray(lam, dtype=float)
-        out = np.asarray(self.q_fun(np.atleast_1d(arr)), dtype=complex)
-        return complex(out[0]) if arr.ndim == 0 else out
+        return self._values(lam, self.q_coeffs, None)
 
     def P(self, lam: float | np.ndarray) -> complex | np.ndarray:
+        return self._values(lam, self.p_coeffs, self.power_sum)
+
+    def _values(self, lam, coeffs, power_sum) -> complex | np.ndarray:
+        """The trig polynomial of ``coeffs`` at ``lam`` or, for a closed
+        form, ``power_sum`` (None for Q, which is 0)."""
         arr = np.asarray(lam, dtype=float)
-        out = np.asarray(self.p_fun(np.atleast_1d(arr)), dtype=complex)
+        flat = np.atleast_1d(arr)
+        if coeffs is not None:
+            idx = np.arange(self.support_min, self.support_min + len(coeffs))
+            out = np.exp(1j * np.outer(flat, idx)) @ coeffs
+        elif power_sum is not None:
+            out = power_sum.p_values(flat).astype(complex)
+        else:
+            out = np.zeros(flat.shape, dtype=complex)
         return complex(out[0]) if arr.ndim == 0 else out
-
-
-def _trig_eval(coeffs: np.ndarray, support_min: int) -> Callable[[np.ndarray], np.ndarray]:
-    idx = np.arange(support_min, support_min + len(coeffs))
-
-    def evaluate(lam: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.outer(lam, idx)) @ coeffs
-
-    return evaluate
 
 
 def forward_transform(state: LatticeState) -> SpectralPair:
     """Q(lam) = sum_k q_k e^{i k lam} and likewise P, as a trig polynomial."""
-    return SpectralPair(
-        q_fun=_trig_eval(state.q, state.support_min),
-        p_fun=_trig_eval(state.p, state.support_min),
-        support_min=state.support_min,
-        q_coeffs=state.q,
-        p_coeffs=state.p,
-    )
+    return SpectralPair(support_min=state.support_min, q_coeffs=state.q, p_coeffs=state.p)
 
 
 def _extract_real(value: complex, context: str) -> float:
@@ -263,17 +260,27 @@ def _extract_real(value: complex, context: str) -> float:
 
 
 def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
-    """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam.
+    """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam, read exactly.
 
-    A trig pair's coefficients are read exactly; a closed form is
-    integrated on the graded route.
+    A trig pair's coefficients are read off.  A closed form has q_k = 0 and
+    p_k = sum_i w_i c_|k|(alpha_i), where c_j(alpha) are the coefficients of
+    |sin(lam/2)|^(-alpha) = 2^alpha (1 - e^{i lam})^(-alpha/2) (1 - e^{-i lam})^(-alpha/2)
+    from its two binomial series: c_0 = 2^alpha Gamma(1 - alpha)/Gamma(1 - alpha/2)^2
+    and c_{j+1} = c_j (j + alpha/2)/(j + 1 - alpha/2).  Past j = 0 the factor
+    is taken as 1 - (1 - alpha)/(j + 1 - alpha/2): the rounding of
+    j + alpha/2 has one sign for every j of a binade and would add up over
+    the steps, that of the small quotient does not.
     """
-    if spectrum.singular_endpoints:
-        n0 = max(1 << 10, graded_mesh_start(k, 0.0))
-        return (
-            graded_coefficient(spectrum.q_fun, k, n0, 1e-10, 1 << 24),
-            graded_coefficient(spectrum.p_fun, k, n0, 1e-10, 1 << 24),
+    if spectrum.power_sum is not None:
+        alphas = spectrum.power_sum.alphas
+        c = np.array(
+            [2.0**a * math.gamma(1.0 - a) / math.gamma(1.0 - a / 2.0) ** 2 for a in alphas]
         )
+        if k:
+            c *= alphas / (2.0 - alphas)
+        for j in range(1, abs(k)):
+            c *= 1.0 - (1.0 - alphas) / (j + 1.0 - alphas / 2.0)
+        return 0.0, float(spectrum.power_sum.weights @ c)
     j = k - spectrum.support_min
     if not 0 <= j < len(spectrum.q_coeffs):
         return 0.0, 0.0

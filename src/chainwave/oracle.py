@@ -10,10 +10,10 @@ below the validity horizon.
 
 Velocity Verlet runs in its summed form, where consecutive half kicks
 merge (Hairer, Lubich & Wanner, Acta Numerica 12, 2003); see
-:func:`integrate_batch`, whose one-state case is :func:`integrate_snapshots`.
-The summed step is linear and shift-invariant, so most steps go in blocks
-of BLOCK_STEPS: four convolutions with stencils that the step loop itself
-builds from unit impulses, the clamped ends taken as odd reflections.
+:func:`integrate_snapshots`.  The summed step is linear and
+shift-invariant, so most steps go in blocks of BLOCK_STEPS: four
+convolutions with stencils that the step loop itself builds from unit
+impulses, the clamped ends taken as odd reflections.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ HORIZON_MARGIN = 50
 #: stability/accuracy guard for the integrator step
 MAX_STEP_FREQUENCY = 0.5
 
-#: summed-form steps per stencil block of :func:`integrate_batch`
+#: most steps one pass may take, counted as t_final / dt; a pass of
+#: criterion 1's companion takes about 2e5
+MAX_PASS_STEPS = 1 << 24
+
+#: summed-form steps per stencil block of :func:`integrate_snapshots`
 BLOCK_STEPS = 32
 
 
@@ -68,7 +72,7 @@ def validity_horizon(cfg: OracleConfig, params: ChainParams, k_max: int) -> floa
 
 
 def _check_preconditions(
-    state: LatticeState, params: ChainParams, cfg: OracleConfig
+    state: LatticeState, params: ChainParams, t_final: float, cfg: OracleConfig
 ) -> None:
     if state.support_min < -cfg.radius or state.support_max > cfg.radius:
         raise ValueError(
@@ -79,6 +83,10 @@ def _check_preconditions(
         raise ValueError(
             f"unstable step: dt * omega0' = {cfg.dt * params.omega0_prime:.3g} "
             f"> {MAX_STEP_FREQUENCY}"
+        )
+    if t_final / cfg.dt > MAX_PASS_STEPS:
+        raise ValueError(
+            f"t_final / dt = {t_final / cfg.dt:.3g} exceeds the cap of {MAX_PASS_STEPS} steps"
         )
 
 
@@ -101,27 +109,12 @@ def integrate_snapshots(
 ) -> list[LatticeState]:
     """One Verlet pass recording the state at each requested time.
 
-    Times must be nondecreasing.  Each segment between snapshots runs at a
+    Times must be nondecreasing, and the last at most ``MAX_PASS_STEPS``
+    steps of ``cfg.dt``.  Each segment between snapshots runs at a
     constant step as close to cfg.dt as divides the segment exactly (the
     adjustment is below dt/2 per segment), so snapshots land on the
     requested times and results are deterministic for a given config.
-    This is the one-state case of :func:`integrate_batch`.
-    """
-    return integrate_batch([state], params, times, cfg)[0]
-
-
-def integrate_batch(
-    states,
-    params: ChainParams,
-    times,
-    cfg: OracleConfig,
-) -> list[list[LatticeState]]:
-    """One Verlet pass over several states at once; per state, its snapshots.
-
-    The states are the columns of one ``(sites, states)`` array, and each
-    column is bit-identical to its one-state run (a step is elementwise and
-    a block convolves each column on its own).  With ``drift = dt p_{n+1/2}``
-    one step of the summed form is
+    With ``drift = dt p_{n+1/2}`` one step of the summed form is
 
         q += drift;  drift += dt^2 (omega1^2 (q_{k-1} + q_{k+1}) - (2 omega1^2 + omega0^2) q_k)
 
@@ -142,27 +135,22 @@ def integrate_batch(
     :func:`_advance_block`).  The remaining steps leave the last step's
     acceleration for the closing half kick.
     """
-    states = list(states)
-    if not states:
-        raise ValueError("at least one state is required")
     times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times) or any(
         b < a for a, b in zip(times, times[1:])
     ):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
-    for state in states:
-        _check_preconditions(state, params, cfg)
+    _check_preconditions(state, params, max(times, default=0.0), cfg)
 
     n = 2 * cfg.radius + 1
     block = min(BLOCK_STEPS, n)
-    ghosted = np.zeros((n + 2, len(states)))
+    ghosted = np.zeros(n + 2)
     q = ghosted[1:-1]
     left, right = ghosted[:-2], ghosted[2:]
     p = np.zeros_like(q)
-    for j, state in enumerate(states):
-        lo = state.support_min + cfg.radius
-        q[lo : lo + len(state.q), j] = state.q
-        p[lo : lo + len(state.p), j] = state.p
+    lo = state.support_min + cfg.radius
+    q[lo : lo + len(state.q)] = state.q
+    p[lo : lo + len(state.p)] = state.p
     drift = np.empty_like(q)
     kick = np.empty_like(q)
     scratch = np.empty_like(q)
@@ -170,7 +158,7 @@ def integrate_batch(
     w1sq = params.omega1**2
     diag = 2.0 * w1sq + params.omega0**2
     stencils: dict[float, np.ndarray] = {}
-    snapshots: list[list[LatticeState]] = [[] for _ in states]
+    snapshots: list[LatticeState] = []
     t_now = 0.0
     for t in times:
         span = t - t_now
@@ -198,8 +186,7 @@ def integrate_batch(
             np.subtract(drift, kick, out=p)
             p /= dt
             t_now = t
-        for j, column in enumerate(snapshots):
-            column.append(LatticeState(support_min=-cfg.radius, q=q[:, j], p=p[:, j]))
+        snapshots.append(LatticeState(support_min=-cfg.radius, q=q, p=p))
     return snapshots
 
 
@@ -245,22 +232,21 @@ def _block_stencils(steps: int, c1: float, c0: float) -> np.ndarray:
 
 
 def _advance_block(q, drift, stencils) -> None:
-    """Advance every column of ``(q, drift)`` in place by one block of stencils.
+    """Advance ``(q, drift)`` in place by one block of stencils.
 
     The clamped chain is the unbounded chain whose data are odd about each
     zero ghost site (the stencils are symmetric, so oddness and the zero
-    ghosts persist).  Stencils that reach W <= K sites need each column
-    extended by its zero ghosts and W - 1 reflected sites beyond each; one
+    ghosts persist).  Stencils that reach W <= K sites need the data
+    extended by their zero ghosts and W - 1 reflected sites beyond each; one
     reflection suffices while W - 1 <= sites, which K = min(BLOCK_STEPS,
     sites) ensures.
     """
     a, b, c, e = stencils
     reflected = len(a) // 2 - 1
-    for j in range(q.shape[1]):
-        xq = _odd_extension(q[:, j], reflected)
-        xd = _odd_extension(drift[:, j], reflected)
-        q[:, j] = np.convolve(xq, a, "valid") + np.convolve(xd, b, "valid")
-        drift[:, j] = np.convolve(xq, c, "valid") + np.convolve(xd, e, "valid")
+    xq = _odd_extension(q, reflected)
+    xd = _odd_extension(drift, reflected)
+    q[:] = np.convolve(xq, a, "valid") + np.convolve(xd, b, "valid")
+    drift[:] = np.convolve(xq, c, "valid") + np.convolve(xd, e, "valid")
 
 
 def _odd_extension(x, m: int):

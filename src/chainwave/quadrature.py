@@ -5,9 +5,9 @@ Four families cover every integral in the package:
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
   for smooth periodic integrands, on one mesh certified in advance by an
   a-priori error bound (``certified_mesh``);
-* one power-graded half [0, pi] in real arithmetic, for spectra that are
-  real, even in lam and singular only at lam = 0 (mod 2pi), such as
-  |sin(lam/2)|^(-a);
+* one power-graded half [0, pi] in real arithmetic, for the closed forms
+  off the descent route, whose power sums of |sin(lam/2)|^(-a) are real,
+  even in lam and singular only at lam = 0 (mod 2pi);
 * tanh-sinh (double-exponential) rules for non-oscillatory integrals with
   algebraic endpoint singularities, where spectral convergence is wanted
   at modest node counts;

@@ -11,21 +11,20 @@ mesh n is the aliased solution sum_{l != 0} q_{k+ln}(t), and because
 cos(t omega) and sin(t omega)/omega are entire in lam, a contour shift
 into the strip |Im lam| < a bounds it (Trefethen & Weideman, SIAM Review
 56, 2014); the sites of a solve, one or many, come out of a single FFT.
-Endpoint-singular closed forms, real and even in lam, are integrated as a
-cosine transform over one power-graded half [0, pi], whose mesh doubles
-until two successive values agree.
 
-A closed form that carries its power sum, P(lam) = sum_i w_i
-|sin(lam/2)|^(-alpha_i) with Q = 0, is first tried on the
-steepest-descent route when the chain is unpinned: in s = sin(lam/2) the
-phase t omega = x s, x = 2 omega1 t, is linear, and the path from s = 0
-to s = 1 deforms into two legs up the imaginary direction on which
-e^{ixs} decays like e^{-u}, so two Gauss-Laguerre rules of 8 and 16
-nodes give q_k(t) at the same cost for every t (Huybrechs & Vandewalle,
-SIAM J. Numer. Anal. 44, 2006; Deano, Huybrechs & Iserles, Computing
-Highly Oscillatory Integrals, SIAM 2018).  Where the two rules disagree
-by the tolerance or more (small x, large |k|), or k^2 > 4x, the solve
-takes the graded route.
+A closed form is a power sum, P(lam) = sum_i w_i |sin(lam/2)|^(-alpha_i)
+with Q = 0.  On the unpinned chain it is first tried on the
+steepest-descent route: in s = sin(lam/2) the phase t omega = x s,
+x = 2 omega1 t, is linear, and the path from s = 0 to s = 1 deforms into
+two legs up the imaginary direction on which e^{ixs} decays like e^{-u},
+so two Gauss-Laguerre rules of 8 and 16 nodes give q_k(t) at the same
+cost for every t (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006;
+Deano, Huybrechs & Iserles, Computing Highly Oscillatory Integrals, SIAM
+2018).  Where the two rules disagree by the tolerance or more (small x,
+large |k|), where k^2 > 4x, and on the pinned chain, the solve takes the
+graded route: P is real and even in lam, so q_k(t) is a cosine transform
+over one power-graded half [0, pi], whose mesh doubles until two
+successive values agree.
 """
 
 from __future__ import annotations
@@ -273,7 +272,7 @@ def _descent_tables(alpha_bytes: bytes) -> tuple[np.ndarray, list]:
 def _descent_solve(
     spectrum: SpectralPair, params: ChainParams, t: float, k: int, cfg: SolverConfig
 ) -> float | None:
-    """q_k(t) of a power sum on the steepest-descent route, or None where
+    """q_k(t) of a closed form on the steepest-descent route, or None where
     the route does not apply or does not reach the tolerance.
 
     With s = sin(lam/2), x = 2 omega1 t and m = |k| (cos(k lam) =
@@ -293,12 +292,11 @@ def _descent_solve(
     the rules of both ``_DESCENT_NODES`` agree to ``cfg.tolerance``.  It
     neither warns nor raises on the way to None.
     """
-    power_sum = spectrum.power_sum
     x = 2.0 * params.omega1 * t
     m = abs(k)
-    if power_sum is None or params.pinned or not (t > 0.0 and m * m <= _DESCENT_REACH * x):
+    if params.pinned or not (t > 0.0 and m * m <= _DESCENT_REACH * x):
         return None
-    alphas, weights = power_sum.alphas, power_sum.weights
+    alphas, weights = spectrum.power_sum.alphas, spectrum.power_sum.weights
     bohmer, rules = _descent_tables(alphas.tobytes())
     values = []
     with np.errstate(all="ignore"):
@@ -337,7 +335,7 @@ def solve_at(
     cfg = cfg or SolverConfig()
     if not 0.0 <= t < math.inf:
         raise ValueError("solve_at requires finite t >= 0")
-    if spectrum.singular_endpoints:
+    if spectrum.power_sum is not None:
         descent = _descent_solve(spectrum, params, t, k, cfg)
         if descent is not None:
             return descent
@@ -371,7 +369,7 @@ def solve_grid(
 
     values = np.empty((len(times), site_idx.size))
     for i, t in enumerate(times):
-        if spectrum.singular_endpoints:
+        if spectrum.power_sum is not None:
             values[i] = [solve_at(spectrum, params, t, k, cfg) for k in site_idx.tolist()]
             continue
         row = _trig_sites(spectrum, params, t, site_idx, cfg)
@@ -422,7 +420,7 @@ def windowed_sup(
         raise ValueError("windowed_sup requires finite t >= 0")
     if window is None:
         window = int(math.ceil(1.1 * params.omega1 * t)) + 60
-    if not spectrum.singular_endpoints:
+    if spectrum.power_sum is None:
         _trig_route_mesh(spectrum, params, t, window, cfg)
     sites = range(-window, window + 1)
     grid = solve_grid(spectrum, params, [t], sites, cfg)

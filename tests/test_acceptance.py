@@ -64,9 +64,8 @@ def oracle_deviation(dt_scale: float) -> float:
             radius=cw.required_radius(20, 25.0, params),
             dt=dt_scale * 1e-3 / params.omega0_prime,
         )
-        # the three states are the columns of one Verlet pass
-        batch = cw.integrate_batch(states, params, times, ocfg)
-        for state, snaps in zip(states, batch):
+        for state in states:
+            snaps = cw.integrate_snapshots(state, params, times, ocfg)
             spectrum = cw.forward_transform(state)
             grid = cw.solve_grid(spectrum, params, times, sites, TIGHT)
             for i in range(len(times)):

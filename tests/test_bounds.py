@@ -135,8 +135,8 @@ class TestAlphaFamily:
         )
 
     def test_spectrum_symmetry(self):
-        # the singular_endpoints contract the one-half graded route rests
-        # on: every closed form is real, even in lam and 2pi-periodic
+        # what the one-half graded route rests on: every closed form is
+        # real, even in lam and 2pi-periodic
         lam = np.linspace(0.3, 3.0, 11)
         near_zero = np.array([1e-24, 1e-12, 1e-6])
         for spectrum in (bounds.alpha_spectrum(0.3), bounds.epsilon_spectrum(0.4)):

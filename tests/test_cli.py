@@ -209,6 +209,10 @@ class TestMalformedConfig:
              "oracle.radius: a lattice of 2000000000001 points exceeds the cap of 1048576"),
             (*variant(ORACLE, oracle={"radius": 2**19, "dt": 5e-4}),
              "oracle.radius: a lattice of 1048577 points exceeds the cap of 1048576"),
+            (*variant(ORACLE, oracle={"radius": 60, "dt": 1e-300}),
+             "oracle.dt: max(t_grid) / dt = 3e+300 exceeds the cap of 16777216 steps"),
+            (*variant(ORACLE, oracle={"radius": 60, "dt": 5e-324}),
+             "oracle.dt: max(t_grid) / dt = inf exceeds the cap of 16777216 steps"),
         ],
         ids=[
             "truncated", "missing-file", "not-object", "missing-key", "nan", "inf",
@@ -225,7 +229,7 @@ class TestMalformedConfig:
             "scalar-real-string", "state-entry-real-bool", "closed-form-real-string",
             "grid-value-real-string", "grid-start-real-bool", "grid-count-past-cap",
             "grid-list-past-cap", "grid-product-past-cap", "oracle-radius-past-cap",
-            "oracle-lattice-one-past-cap",
+            "oracle-lattice-one-past-cap", "oracle-dt-tiny", "oracle-dt-subnormal",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, command, text, message):

@@ -138,22 +138,43 @@ class TestTransforms:
             assert p_k == pytest.approx(state.p_at(k), abs=1e-12)
 
     def test_pair_without_route_rejected(self):
-        zeros = lambda lam: np.zeros(len(lam), dtype=complex)
-        with pytest.raises(ValueError, match="trig coefficients"):
-            model.SpectralPair(q_fun=zeros, p_fun=zeros)
+        # a pair takes exactly one kind: trig coefficients or a power sum
+        for fields in ({}, {"support_min": 0, "q_coeffs": np.ones(1)}):
+            with pytest.raises(ValueError, match="exactly one of"):
+                model.SpectralPair(**fields)
+
+    @staticmethod
+    def exact_coefficient(alpha, k):
+        """c_k(alpha) of |sin(lam/2)|^(-alpha) in 30 digits."""
+        h = mp.mpf(alpha) / 2
+        return 2 ** (2 * h) * mp.gamma(1 - 2 * h) * mp.gamma(k + h) / (
+            mp.gamma(h) * mp.gamma(1 - h) * mp.gamma(k + 1 - h)
+        )
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
     def test_inverse_of_closed_form(self, alpha):
-        # Fourier coefficients of a |sin(lam/2)|^(-alpha): the graded route
+        # lattice coefficients of a |sin(lam/2)|^(-alpha), read to rounding
         spectrum = bounds.alpha_spectrum(alpha)
         a = mp.mpf(bounds.alpha_normalization(alpha))
-        for k in (0, 1, 5, 40):
-            exact = (-1) ** k * a * 2**alpha * mp.gamma(1 - alpha) / (
-                mp.gamma(1 - alpha / 2 + k) * mp.gamma(1 - alpha / 2 - k)
-            )
-            q_k, p_k = model.inverse_transform(spectrum, k)
-            assert q_k == 0.0
-            assert p_k == pytest.approx(float(exact), abs=1e-9)
+        with mp.workdps(30):
+            for k in (0, 1, 5, 40, 1000):
+                exact = float(a * self.exact_coefficient(alpha, k))
+                for site in (k, -k):
+                    q_k, p_k = model.inverse_transform(spectrum, site)
+                    assert q_k == 0.0
+                    assert p_k == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_inverse_of_epsilon_family(self):
+        # 211 terms, down to alpha ~ 1e-100 and up to 1/2, all positive
+        spectrum = bounds.epsilon_spectrum(0.3)
+        ps = spectrum.power_sum
+        with mp.workdps(30):
+            for k in (0, 3, 200):
+                exact = mp.fsum(
+                    mp.mpf(w) * self.exact_coefficient(a, k) for a, w in zip(ps.alphas, ps.weights)
+                )
+                _, p_k = model.inverse_transform(spectrum, k)
+                assert p_k == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(7)
@@ -281,11 +302,23 @@ class TestPowerSum:
         with pytest.raises(ValueError):
             model.PowerSum(alphas, weights)
 
+    def test_equal_alphas_merge(self):
+        ps = model.PowerSum([0.3, 0.1, 0.3, 0.3], [1.0, 2.0, 0.5, 0.25])
+        assert list(ps.alphas) == [0.1, 0.3] and list(ps.weights) == [2.0, 1.75]
+        lam = np.array([1e-6, 0.5, 3.0])
+        s = np.abs(np.sin(lam / 2.0))
+        assert np.allclose(ps.p_values(lam), 2.0 * s**-0.1 + 1.75 * s**-0.3, rtol=1e-15, atol=0.0)
+        # the epsilon rule's 47 nodes at alpha = 1/2 become one term
+        eps = bounds.epsilon_spectrum(0.3).power_sum
+        assert len(eps.alphas) == 211 and np.count_nonzero(eps.alphas == 0.5) == 1
+
     def test_needs_a_closed_form(self):
+        # a power sum is the whole closed form: no trig coefficient beside it
         state = model.LatticeState.single_site(0, p=1.0)
-        pair = model.forward_transform(state)
-        with pytest.raises(ValueError, match="singular_endpoints"):
-            model.SpectralPair(
-                pair.q_fun, pair.p_fun, support_min=0, q_coeffs=state.q, p_coeffs=state.p,
-                power_sum=model.PowerSum([0.2], [1.0]),
-            )
+        ps = model.PowerSum([0.2], [1.0])
+        for fields in (
+            {"support_min": 0, "q_coeffs": state.q, "p_coeffs": state.p},
+            {"p_coeffs": state.p},
+        ):
+            with pytest.raises(ValueError, match="exactly one of"):
+                model.SpectralPair(**fields, power_sum=ps)

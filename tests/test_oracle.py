@@ -177,47 +177,6 @@ class TestBlocks:
         assert_matches_reference(state, self.PARAMS, times, cfg, snaps)
 
 
-class TestBatch:
-    def test_columns_equal_one_state_runs(self):
-        # criterion 1's states, which it steps as one batch
-        params = model.ChainParams(0.3, 2.0)
-        cfg = oracle.OracleConfig(
-            radius=oracle.required_radius(20, 25.0, params), dt=1e-3 / params.omega0_prime
-        )
-        states = criterion_01_states() + [model.LatticeState.single_site(cfg.radius, q=1.0)]
-        times = [0.0, 1.0, 1.5]
-        batch = oracle.integrate_batch(states, params, times, cfg)
-        assert len(batch) == len(states)
-        for state, snaps in zip(states, batch):
-            for one, col in zip(oracle.integrate_snapshots(state, params, times, cfg), snaps):
-                assert np.array_equal(one.q, col.q) and np.array_equal(one.p, col.p)
-
-    def test_zero_column_stays_exactly_zero(self):
-        cfg = oracle.OracleConfig(radius=30, dt=1e-2)
-        states = [random_state(34), model.LatticeState.single_site(0), random_state(35)]
-        batch = oracle.integrate_batch(states, UNPINNED, [2.0, 4.0], cfg)
-        for snap in batch[1]:
-            assert not np.any(snap.q) and not np.any(snap.p)
-
-    def test_states_with_different_supports(self):
-        cfg = oracle.OracleConfig(radius=30, dt=1e-2)
-        states = [random_state(36, n=3, support_min=-30), random_state(37, n=4, support_min=27)]
-        batch = oracle.integrate_batch(states, UNPINNED, [2.0], cfg)
-        for state, snaps in zip(states, batch):
-            assert_matches_reference(state, UNPINNED, [2.0], cfg, snaps)
-
-    def test_every_state_is_checked(self):
-        cfg = oracle.OracleConfig(radius=20, dt=1e-2)
-        states = [model.LatticeState.single_site(0, q=1.0), model.LatticeState.single_site(21)]
-        with pytest.raises(ValueError, match="support"):
-            oracle.integrate_batch(states, UNPINNED, [1.0], cfg)
-
-    def test_empty_batch_rejected(self):
-        cfg = oracle.OracleConfig(radius=20, dt=1e-2)
-        with pytest.raises(ValueError, match="state"):
-            oracle.integrate_batch([], UNPINNED, [1.0], cfg)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     qp=st.lists(
@@ -229,18 +188,15 @@ class TestBatch:
     omega1=st.floats(0.25, 2.0),
     t=st.floats(0.0, 3.0),
 )
-def test_batch_is_columnwise_and_linear(qp, support_min, scale, omega0, omega1, t):
-    # each column is its own one-state run, and the map (q, p) -> (q(t), p(t)) is linear
+def test_pass_is_linear(qp, support_min, scale, omega0, omega1, t):
+    # the map (q, p) -> (q(t), p(t)) of a pass is linear
     params = model.ChainParams(omega0, omega1)
     cfg = oracle.OracleConfig(radius=12, dt=0.05 / params.omega0_prime)
     q, p = np.array(qp).T
     a = model.LatticeState(support_min, q, p)
     b = model.LatticeState(support_min, p, -q)
     combined = model.LatticeState(support_min, q + scale * p, p - scale * q)
-    batch = oracle.integrate_batch([a, b, combined], params, [t], cfg)
-    one = oracle.integrate_snapshots(b, params, [t], cfg)[0]
-    assert np.array_equal(one.q, batch[1][0].q) and np.array_equal(one.p, batch[1][0].p)
-    (sa,), (sb,), (sc,) = batch
+    sa, sb, sc = (oracle.integrate(state, params, t, cfg) for state in (a, b, combined))
     assert np.allclose(sc.q, sa.q + scale * sb.q, rtol=0.0, atol=1e-12)
     assert np.allclose(sc.p, sa.p + scale * sb.p, rtol=0.0, atol=1e-12)
 
@@ -301,6 +257,13 @@ class TestIntegrate:
         state = model.LatticeState.single_site(0, q=1.0)
         with pytest.raises(ValueError, match="unstable"):
             oracle.integrate(state, UNPINNED, 1.0, oracle.OracleConfig(radius=20, dt=0.3))
+
+    def test_step_cap(self):
+        # 2^24 + 1 steps of the pass are refused before the first one
+        state = model.LatticeState.single_site(0, q=1.0)
+        cfg = oracle.OracleConfig(radius=20, dt=2.0**-24)
+        with pytest.raises(ValueError, match="exceeds the cap of 16777216 steps"):
+            oracle.integrate_snapshots(state, UNPINNED, [0.5, 1.0 + 2.0**-24], cfg)
 
     def test_snapshot_times_monotone(self):
         state = model.LatticeState.single_site(0, q=1.0)
