@@ -9,13 +9,14 @@ velocity data, a logarithmic bound whose slope is
 The alpha family realises power growth t^alpha from velocity spectra
 P(lam) = a_alpha |sin(lam/2)|^(-alpha); averaging it over alpha with the
 weight w_eps produces sqrt(t)/log^delta(t) growth with explicit constant
-Gamma(delta)/sqrt(2 omega1), delta = eps + 1/2.
+Gamma(delta)/sqrt(2 omega1), delta = eps + 1/2.  Both families are closed
+forms, ``PowerSum``s whose lattice coefficients the solver reads exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,25 +195,6 @@ def weight_integral(epsilon: float, tolerance: float = 1e-10) -> float:
     return tanh_sinh(integrand, 0.0, 0.5, tolerance=tolerance)
 
 
-#: P-tilde is interpolated as ln P-tilde in x = -ln|sin(lam/2)|, on
-#: uniform panels of [0, _LOG_X_MAX] with one Chebyshev series of degree
-#: _CHEB_DEGREE each; points beyond _LOG_X_MAX (lam below ~4e-35) take the
-#: direct sum
-_LOG_X_MAX = 80.0
-_CHEB_PANELS = 160
-_CHEB_DEGREE = 8
-#: largest relative error of the interpolant the build-time certificate accepts
-_CHEB_REL_TOL = 1e-12
-#: points per block of p_values, which bounds the buffers of the recurrence
-_CLENSHAW_BLOCK = 1 << 14
-
-
-def _panel_points(t: np.ndarray) -> np.ndarray:
-    """The points t in [-1, 1] mapped into every panel, panel by panel."""
-    width = _LOG_X_MAX / _CHEB_PANELS
-    return (width * (np.arange(_CHEB_PANELS)[:, None] + 0.5 * (t + 1.0))).ravel()
-
-
 @dataclass(frozen=True)
 class EpsilonSpectrum(PowerSum):
     """Quadrature discretization of the alpha average defining P-tilde.
@@ -220,98 +202,10 @@ class EpsilonSpectrum(PowerSum):
     ``alphas``/``weights`` form a double-exponential rule on (0, 1/2),
     graded into the alpha = 1/2 endpoint where w_eps blows up like
     (1/2 - alpha)^(eps-1); ``weights`` already contain w_eps * a_alpha.
-
-    P-tilde(lam) = sum_i weights_i e^{alpha_i x}, x = -ln|sin(lam/2)|, is
-    evaluated through a piecewise-Chebyshev interpolant of ln P-tilde in
-    x.  Construction certifies it against the power sum between the
-    interpolation nodes of every panel and raises ``ValueError`` if the
-    relative error exceeds ``_CHEB_REL_TOL``.
+    P-tilde(lam) = sum_i weights_i |sin(lam/2)|^(-alpha_i) is the power sum.
     """
 
     epsilon: float
-    #: (degree + 1, panels) Chebyshev coefficients of ln P-tilde, row j
-    #: holding the T_j coefficient of every panel
-    log_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # ln P-tilde at the Chebyshev points of each panel, then the
-        # discrete Chebyshev transform per panel
-        theta = np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1)
-        values = np.log(self._power_sum_at(_panel_points(np.cos(theta))))
-        basis = np.cos(np.outer(np.arange(_CHEB_DEGREE + 1), theta))
-        coeffs = basis @ values.reshape(_CHEB_PANELS, -1).T * (2.0 / (_CHEB_DEGREE + 1))
-        coeffs[0] *= 0.5
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "log_coeffs", coeffs)
-        # certificate: the extrema of T_{degree+1} interleave the nodes,
-        # where the interpolation error peaks
-        x = _panel_points(np.cos(np.pi * np.arange(1, _CHEB_DEGREE + 1) / (_CHEB_DEGREE + 1)))
-        approx = np.exp(self._log_interpolant(x))
-        worst = float(np.max(np.abs(approx / self._power_sum_at(x) - 1.0)))
-        if not worst <= _CHEB_REL_TOL:
-            raise ValueError(
-                f"P-tilde interpolant for epsilon={self.epsilon} has relative error "
-                f"{worst:.2e} above {_CHEB_REL_TOL:g}"
-            )
-
-    @property
-    def delta(self) -> float:
-        return self.epsilon + 0.5
-
-    def _power_sum_at(self, x: np.ndarray) -> np.ndarray:
-        """The power sum, term by term, where -ln|sin(lam/2)| = ``x``."""
-        return PowerSum.p_values(self, 2.0 * np.arcsin(np.exp(-x)))
-
-    def _log_interpolant(self, x: np.ndarray) -> np.ndarray:
-        """ln P-tilde from the interpolant at ``x``, all in [0, _LOG_X_MAX]."""
-        t = x * (_CHEB_PANELS / _LOG_X_MAX)
-        panel = np.minimum(np.floor(t), _CHEB_PANELS - 1)
-        # local variable in [-1, 1] of each point's panel
-        t -= panel
-        t *= 2.0
-        t -= 1.0
-        panel = panel.astype(np.intp)
-        two_t = t + t
-        # Clenshaw: b_j = c_j + 2t b_{j+1} - b_{j+2}, in place from j = degree
-        b1 = self.log_coeffs[_CHEB_DEGREE].take(panel)
-        b2 = np.zeros_like(t)
-        c = np.empty_like(t)
-        for j in range(_CHEB_DEGREE - 1, 0, -1):
-            self.log_coeffs[j].take(panel, out=c)
-            c -= b2
-            np.multiply(two_t, b1, out=b2)
-            b2 += c
-            b1, b2 = b2, b1
-        # ln P-tilde = c_0 + t b_1 - b_2
-        self.log_coeffs[0].take(panel, out=c)
-        b1 *= t
-        b1 += c
-        b1 -= b2
-        return b1
-
-    def p_values(self, lam: np.ndarray) -> np.ndarray:
-        """P-tilde(lam) = sum_i weights_i |sin(lam/2)|^(-alpha_i).
-
-        Runs over blocks of ``_CLENSHAW_BLOCK`` points, so the only array
-        as long as ``lam`` is the result.  The interpolant covers
-        x = -ln|sin(lam/2)| <= _LOG_X_MAX; larger x (and NaN) take the
-        power sum term by term.
-        """
-        lam = np.asarray(lam, dtype=float)
-        out = np.empty(lam.shape)
-        flat_lam, flat_out = lam.reshape(-1), out.reshape(-1)
-        for start in range(0, flat_lam.size, _CLENSHAW_BLOCK):
-            x = np.sin(flat_lam[start : start + _CLENSHAW_BLOCK] / 2.0)
-            np.abs(x, out=x)
-            np.log(x, out=x)
-            np.negative(x, out=x)
-            block = flat_out[start : start + len(x)]
-            np.exp(self._log_interpolant(np.fmin(x, _LOG_X_MAX)), out=block)
-            far = ~(x <= _LOG_X_MAX)
-            if np.any(far):
-                block[far] = PowerSum.p_values(self, flat_lam[start : start + len(x)][far])
-        return out
 
 
 def _epsilon_rule(epsilon: float, level: int) -> tuple[np.ndarray, np.ndarray]:

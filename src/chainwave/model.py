@@ -20,6 +20,9 @@ import numpy as np
 #: imaginary residue above this fraction of the magnitude trips the
 #: Hermitian-symmetry assertion when real values are extracted
 IMAG_RESIDUE_TOL = 1e-10
+#: largest lattice index whose closed-form coefficient is computed; the
+#: coefficients come from an O(|k|) recurrence, refused past it
+MAX_COEFFICIENT_SITE = 1 << 23
 
 
 def _is_real(value) -> bool:
@@ -200,6 +203,39 @@ class PowerSum:
             out += w * s ** (-alpha)
         return out
 
+    def coefficients(self, cut: int) -> np.ndarray:
+        """The lattice coefficients p_0 .. p_cut of P (p_{-j} = p_j), p_j =
+        sum_i weights_i c_j(alphas_i), in O(cut) memory; a cut past
+        ``MAX_COEFFICIENT_SITE`` raises ``ValueError`` before anything is allocated.
+
+        c_j(alpha) are the coefficients of |sin(lam/2)|^(-alpha) =
+        2^alpha (1 - e^{i lam})^(-alpha/2) (1 - e^{-i lam})^(-alpha/2) from its
+        two binomial series: c_0 = ``mean_coefficient(alpha)`` and
+        c_{j+1} = c_j (j + alpha/2)/(j + 1 - alpha/2), one cumulative product
+        per alpha.  Past j = 0 the factor is taken as 1 - (1 - alpha)/(j + 1 -
+        alpha/2): the rounding of j + alpha/2 has one sign for every j of a
+        binade and would add up over the steps, that of the small quotient
+        does not.
+        """
+        if not 0 <= cut <= MAX_COEFFICIENT_SITE:
+            raise ValueError(f"coefficient index {cut} outside [0, {MAX_COEFFICIENT_SITE}]")
+        out = np.zeros(cut + 1)
+        factors = np.empty(cut + 1)
+        steps = np.arange(2.0, cut + 1.0)
+        for w, alpha in zip(self.weights, self.alphas):
+            # factors[j] takes c_{j-1} to c_j
+            factors[:2] = (mean_coefficient(alpha), alpha / (2.0 - alpha))[: cut + 1]
+            tail = np.subtract(steps, alpha / 2.0, out=factors[2:])
+            np.subtract(1.0, np.divide(1.0 - alpha, tail, out=tail), out=tail)
+            out += w * np.cumprod(factors, out=factors)
+        return out
+
+
+def mean_coefficient(alpha: float) -> float:
+    """c_0(alpha) = 2^alpha Gamma(1 - alpha)/Gamma(1 - alpha/2)^2, the mean and the
+    largest of the lattice coefficients of |sin(lam/2)|^(-alpha), which decrease in |j|."""
+    return 2.0**alpha * math.gamma(1.0 - alpha) / math.gamma(1.0 - alpha / 2.0) ** 2
+
 
 @dataclass(frozen=True)
 class SpectralPair:
@@ -263,24 +299,11 @@ def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:
     """(q_k, p_k) = (1/2pi) int_0^{2pi} (Q, P)(lam) e^{-i k lam} dlam, read exactly.
 
     A trig pair's coefficients are read off.  A closed form has q_k = 0 and
-    p_k = sum_i w_i c_|k|(alpha_i), where c_j(alpha) are the coefficients of
-    |sin(lam/2)|^(-alpha) = 2^alpha (1 - e^{i lam})^(-alpha/2) (1 - e^{-i lam})^(-alpha/2)
-    from its two binomial series: c_0 = 2^alpha Gamma(1 - alpha)/Gamma(1 - alpha/2)^2
-    and c_{j+1} = c_j (j + alpha/2)/(j + 1 - alpha/2).  Past j = 0 the factor
-    is taken as 1 - (1 - alpha)/(j + 1 - alpha/2): the rounding of
-    j + alpha/2 has one sign for every j of a binade and would add up over
-    the steps, that of the small quotient does not.
+    p_k from ``PowerSum.coefficients``, whose O(|k|) recurrence refuses
+    |k| past ``MAX_COEFFICIENT_SITE`` with ``ValueError``.
     """
     if spectrum.power_sum is not None:
-        alphas = spectrum.power_sum.alphas
-        c = np.array(
-            [2.0**a * math.gamma(1.0 - a) / math.gamma(1.0 - a / 2.0) ** 2 for a in alphas]
-        )
-        if k:
-            c *= alphas / (2.0 - alphas)
-        for j in range(1, abs(k)):
-            c *= 1.0 - (1.0 - alphas) / (j + 1.0 - alphas / 2.0)
-        return 0.0, float(spectrum.power_sum.weights @ c)
+        return 0.0, float(spectrum.power_sum.coefficients(abs(k))[-1])
     j = k - spectrum.support_min
     if not 0 <= j < len(spectrum.q_coeffs):
         return 0.0, 0.0

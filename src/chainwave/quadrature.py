@@ -1,18 +1,18 @@
 """Quadrature kernels shared by the solver and the special functions.
 
-Four families cover every integral in the package:
+Three families cover every integral in the package:
 
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
   for smooth periodic integrands, on one mesh certified in advance by an
   a-priori error bound (``certified_mesh``);
-* one power-graded half [0, pi] in real arithmetic, for the closed forms
-  off the descent route, whose power sums of |sin(lam/2)|^(-a) are real,
-  even in lam and singular only at lam = 0 (mod 2pi);
 * tanh-sinh (double-exponential) rules for non-oscillatory integrals with
   algebraic endpoint singularities, where spectral convergence is wanted
   at modest node counts;
 * Gauss-Laguerre rules for the legs of the steepest-descent route, on
   which the oscillation e^{ixs} has become the decay e^{-u}.
+
+``refine_until`` and ``graded_half_integral`` have no caller in the
+package; the tracer of ``perfbench/`` binds them by name.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 class ConvergenceError(RuntimeError):
     """Raised when no mesh within the cap meets the tolerance: the certified
-    mesh lies past it, or mesh doubling reaches it unconverged."""
+    mesh, or the mesh a closed form's lattice state needs, lies past it."""
 
 
 def refine_until(
@@ -105,13 +105,8 @@ _GRADE = 4
 
 def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     """Integrate a real f(lam) over [0, pi] on n panels of lam = 2 u^4,
-    u in [0, (pi/2)^(1/4)].
-
-    ``integrand`` is evaluated only at lam > 0; the u = 0 contribution is
-    taken as zero, valid whenever f(lam) * dlam/du -> 0, which holds for
-    every shipped closed form (|sin|^(-a) with a < 1/2 against the
-    u^3 Jacobian).
-    """
+    u in [0, (pi/2)^(1/4)], taking the u = 0 node as zero: valid whenever
+    f(lam) * dlam/du -> 0, as for |sin(lam/2)|^(-a) with a < 1/2."""
     u = np.linspace(0.0, (np.pi / 2.0) ** (1.0 / _GRADE), n + 1)
     vals = np.zeros(len(u))
     # the Jacobian 8 u^3 is applied in place, so that no mesh-long lam,
@@ -119,60 +114,6 @@ def graded_half_integral(integrand: Callable[[np.ndarray], np.ndarray], n: int) 
     vals[1:] = integrand(2.0 * u[1:] ** _GRADE)
     vals[1:] *= 2.0 * _GRADE * u[1:] ** (_GRADE - 1)
     return float(np.trapezoid(vals, u))
-
-
-def graded_mesh_start(k: int, phase: float) -> int:
-    """Starting mesh of the graded route: the power of two at or above
-    4 (|k| + phase + 64), ``phase`` being the largest phase t * omega0' of
-    the time factor (0 for the initial data alone)."""
-    return 1 << math.ceil(math.log2(4.0 * (abs(k) + phase + 64.0)))
-
-
-def _nested(integrand: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """``integrand`` for ``graded_half_integral`` on meshes that double from
-    one call to the next.
-
-    ``linspace(0, L, n + 1)[j]`` equals ``linspace(0, L, 2n + 1)[2j]`` bit for
-    bit, so the even nodes of mesh 2n are the nodes of mesh n: their values
-    are kept from the previous call and only the n new odd nodes are
-    evaluated.  The values, and so the trapezoid sum, are the ones a full
-    evaluation would give.
-    """
-    kept = None
-
-    def evaluate(lam: np.ndarray) -> np.ndarray:
-        nonlocal kept
-        # lam holds nodes 1..n; the odd ones sit at even positions
-        if kept is not None and 2 * len(kept) == len(lam):
-            values = np.empty(len(lam))
-            values[1::2] = kept
-            kept = values  # frees the previous values before the evaluation
-            values[0::2] = integrand(lam[0::2])
-        else:
-            values = kept = integrand(lam)
-        return values
-
-    return evaluate
-
-
-def graded_coefficient(
-    fun: Callable[[np.ndarray], np.ndarray],
-    k: int,
-    n_start: int,
-    tolerance: float,
-    n_max: int,
-) -> float:
-    """(1/2pi) int_0^{2pi} f(lam) e^{-ik lam} dlam for f real, even in lam and
-    singular only at lam = 0 (mod 2pi).
-
-    For such f the coefficient is (1/pi) int_0^pi f(lam) cos(k lam) dlam:
-    one half, graded from its singular endpoint, in real arithmetic (only
-    the real part of ``fun`` is read).  Meshes double through
-    ``refine_until``, and ``fun`` is evaluated only at the nodes the
-    previous mesh lacked, n_final points in all.
-    """
-    half = _nested(lambda lam: fun(lam).real * np.cos(k * lam))
-    return refine_until(lambda n: graded_half_integral(half, n) / np.pi, n_start, tolerance, n_max)
 
 
 #: tanh-sinh abscissae run over u in [0, 5]; levels stop at 2^12 steps

@@ -22,13 +22,15 @@ cost for every t (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006;
 Deano, Huybrechs & Iserles, Computing Highly Oscillatory Integrals, SIAM
 2018).  Where the two rules disagree by the tolerance or more (small x,
 large |k|), where k^2 > 4x, and on the pinned chain, the solve takes the
-graded route: P is real and even in lam, so q_k(t) is a cosine transform
-over one power-graded half [0, pi], whose mesh doubles until two
-successive values agree.
+lattice route: a closed form is the lattice state p_j = sum_i w_i
+c_|j|(alpha_i) of its exact coefficients, which the same strip argument
+cuts to |j| <= J with a certified tail, and that finite state takes the
+trig route.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -37,14 +39,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import model
 from .model import ChainParams, SpectralPair, _extract_real, dispersion
-from .quadrature import (
-    certified_mesh,
-    gauss_laguerre,
-    graded_coefficient,
-    graded_mesh_start,
-    periodic_mesh,
-)
+from .quadrature import ConvergenceError, certified_mesh, gauss_laguerre, periodic_mesh
 from .reports import GridRows, write_csv
 from .specfun import bohmer_sine_integral
 
@@ -70,14 +67,13 @@ class EdgeDominanceWarning(UserWarning):
 class SolverConfig:
     """Mesh controls for the oscillatory quadrature.
 
-    ``mesh_points`` is the floor for the starting mesh on both routes (a
-    power of two, so coefficient extraction is one FFT).  On the trig route
-    the one mesh evaluated is the first of ``mesh_points`` 2^j whose
-    certified alias error is below ``tolerance``; on the graded route
-    meshes double until two successive results differ by less than
-    ``tolerance``; the descent route evaluates no mesh, and its 8- and
-    16-node values must differ by less than ``tolerance``.  No mesh past
-    ``max_mesh`` is evaluated.
+    ``mesh_points`` is the floor of the one mesh a trig or lattice solve
+    evaluates (a power of two, so coefficient extraction is one FFT): the
+    first of ``mesh_points`` 2^j whose certified error is below
+    ``tolerance``, of which a lattice solve gives half to the cut of its
+    state and half to the alias bound.  The descent route evaluates no
+    mesh, and its 8- and 16-node values must differ by less than
+    ``tolerance``.  No mesh past ``max_mesh`` is evaluated.
     """
 
     mesh_points: int = 64
@@ -195,32 +191,39 @@ def _mesh_eval(
     return q_vals
 
 
-def _alias_log_bound(
-    spectrum: SpectralPair, params: ChainParams, t: float, reach: int
-) -> Callable[[int], float]:
-    """n -> ln of a bound on the trapezoid error of mesh n at every site k
-    with |k| + |j| <= ``reach`` for every support site j.
+def _strip_prefactors(params: ChainParams, t: float, q_norm: float, p_norm: float) -> list:
+    """(a, ln(2 (q_norm cosh(tW) + p_norm sinh(tW)/W))) per strip width a.
 
-    That error is the aliased solution sum_{l != 0} q_{k+ln}(t).  The time
-    factors are entire in omega^2 = omega0^2 + 2 omega1^2 (1 - cos lam), and
-    on the strip |Im lam| <= a, |omega| <= W with W^2 = omega0^2 +
-    2 omega1^2 (1 + cosh a); so their Fourier coefficients obey |C_m| <=
-    cosh(tW) e^{-a|m|} and |S_m| <= sinh(tW)/W e^{-a|m|}, and summed over the
-    aliases |error| <= (|q|_1 cosh(tW) + |p|_1 sinh(tW)/W) 2 e^{-a(n-reach)}
-    / (1 - e^{-an}).  The bound is minimized over a few a and kept in logs,
-    since cosh(tW) overflows at large t.
+    The time factors are entire in omega^2 = omega0^2 + 2 omega1^2 (1 - cos
+    lam), and on the strip |Im lam| <= a, |omega| <= W with W^2 = omega0^2 +
+    2 omega1^2 (1 + cosh a); so the Fourier coefficients of cos(t omega) and
+    sin(t omega)/omega obey |C_m| <= cosh(tW) e^{-a|m|} and |S_m| <=
+    sinh(tW)/W e^{-a|m|}.  Kept in logs, since cosh(tW) overflows at large t.
     """
-    q_norm = float(np.sum(np.abs(spectrum.q_coeffs)))
-    p_norm = float(np.sum(np.abs(spectrum.p_coeffs)))
     prefactors = []
     for a in _STRIP_WIDTHS:
         w = math.sqrt(params.omega0**2 + 2.0 * params.omega1**2 * (1.0 + math.cosh(a)))
         x = t * w
         # 2 (q_norm cosh x + p_norm sinh(x)/w) e^{-x}, free of overflow
         scaled = q_norm * (1.0 + math.exp(-2.0 * x)) - p_norm * math.expm1(-2.0 * x) / w
-        if scaled == 0.0:
-            return lambda n: -math.inf
-        prefactors.append((a, x + math.log(scaled)))
+        prefactors.append((a, x + math.log(scaled) if scaled > 0.0 else -math.inf))
+    return prefactors
+
+
+def _alias_log_bound(
+    spectrum: SpectralPair, params: ChainParams, t: float, reach: int
+) -> Callable[[int], float]:
+    """n -> ln of a bound on the trapezoid error of mesh n at every site k
+    with |k| + |j| <= ``reach`` for every support site j.
+
+    That error is the aliased solution sum_{l != 0} q_{k+ln}(t); summed over
+    the aliases, the coefficient bounds of ``_strip_prefactors`` give
+    |error| <= (|q|_1 cosh(tW) + |p|_1 sinh(tW)/W) 2 e^{-a(n-reach)} /
+    (1 - e^{-an}), minimized over a.
+    """
+    q_norm = float(np.sum(np.abs(spectrum.q_coeffs)))
+    p_norm = float(np.sum(np.abs(spectrum.p_coeffs)))
+    prefactors = _strip_prefactors(params, t, q_norm, p_norm)
 
     def log_bound(n: int) -> float:
         return min(c - a * (n - reach) - math.log1p(-math.exp(-a * n)) for a, c in prefactors)
@@ -244,11 +247,58 @@ def _trig_route_mesh(
 def _trig_sites(
     spectrum: SpectralPair, params: ChainParams, t: float, sites: np.ndarray, cfg: SolverConfig
 ) -> np.ndarray:
-    """Complex q_k(t) at ``sites`` of a trig pair: one certified mesh, one
-    ``_mesh_eval`` and one forward FFT."""
+    """Real q_k(t) at ``sites`` of a trig pair: one certified mesh, one
+    ``_mesh_eval`` and one forward FFT, whose largest imaginary residue at
+    the sites must pass ``_extract_real``."""
     n = _trig_route_mesh(spectrum, params, t, int(np.max(np.abs(sites))), cfg)
-    coeffs = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")
-    return coeffs[np.mod(sites, n)]
+    row = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")[np.mod(sites, n)]
+    worst = np.argmax(np.abs(row.imag))
+    _extract_real(complex(row[worst]), f"q_{sites[worst]}(t={t})")
+    return row.real
+
+
+def _lattice_cut(
+    power_sum: model.PowerSum, params: ChainParams, t: float, k_max: int, cfg: SolverConfig
+) -> int:
+    """The least cut J >= k_max at which the lattice coefficients p_j,
+    |j| > J, of a closed form move no site |k| <= k_max by half the tolerance.
+
+    They move site k by sum_{|j|>J} p_j G_{k-j}(t), G the response to a unit
+    kick, whose |G_m| <= sinh(tW)/W e^{-a|m|} by ``_strip_prefactors``; with
+    |p_j| <= C0 = sum_i |w_i| c_0(alpha_i), the sum is at most C0 sinh(tW)/W
+    2 e^{-a(J+1-|k|)}/(1 - e^{-a}).  Raises ``ConvergenceError`` before
+    anything is built if the state's mesh, past 2 (k_max + J), passes max_mesh.
+    """
+    pairs = zip(power_sum.alphas, power_sum.weights)
+    c0 = sum(abs(w) * model.mean_coefficient(a) for a, w in pairs)
+    log_tolerance = math.log(0.5 * cfg.tolerance)
+    # J + 1 - k_max must exceed (c - ln(1 - e^{-a}) - ln(tol/2))/a for one a
+    excess = min(
+        (c - math.log1p(-math.exp(-a)) - log_tolerance) / a
+        for a, c in _strip_prefactors(params, t, 0.0, c0)
+    )
+    cut = k_max + math.floor(min(max(excess, 0.0), cfg.max_mesh))
+    need = 2 * (k_max + cut)
+    if need >= cfg.max_mesh or cut > model.MAX_COEFFICIENT_SITE:
+        raise ConvergenceError(
+            f"the lattice state of |k| <= {k_max} at t={t} is cut at |j| <= {cut} (at most "
+            f"{model.MAX_COEFFICIENT_SITE}): its mesh must exceed {need}; max_mesh={cfg.max_mesh}"
+        )
+    return cut
+
+
+def _lattice_sites(
+    spectrum: SpectralPair, params: ChainParams, t: float, sites: np.ndarray, cfg: SolverConfig
+) -> np.ndarray:
+    """Real q_k(t) at ``sites`` of a closed form: its lattice state cut by
+    ``_lattice_cut`` to half the tolerance, solved by ``_trig_sites`` to
+    the other half."""
+    cut = _lattice_cut(spectrum.power_sum, params, t, int(np.max(np.abs(sites))), cfg)
+    half = spectrum.power_sum.coefficients(cut)
+    p = np.concatenate([half[:0:-1], half])
+    state = SpectralPair(support_min=-cut, q_coeffs=np.zeros_like(p), p_coeffs=p)
+    half_cfg = dataclasses.replace(cfg, tolerance=0.5 * cfg.tolerance)
+    return _trig_sites(state, params, t, sites, half_cfg)
 
 
 @functools.lru_cache(maxsize=8)
@@ -330,20 +380,18 @@ def solve_at(
     """q_k(t) with absolute error at the configured tolerance.
 
     A trig pair takes the trig route; a closed form takes the descent
-    route where it holds and reaches the tolerance, else the graded one.
+    route where it holds and reaches the tolerance, else the lattice one.
     """
     cfg = cfg or SolverConfig()
     if not 0.0 <= t < math.inf:
         raise ValueError("solve_at requires finite t >= 0")
+    route = _trig_sites
     if spectrum.power_sum is not None:
         descent = _descent_solve(spectrum, params, t, k, cfg)
         if descent is not None:
             return descent
-        n0 = max(cfg.mesh_points, graded_mesh_start(k, t * params.omega0_prime))
-        evolved = evolve_spectrum(spectrum, params, t)
-        return graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
-    value = complex(_trig_sites(spectrum, params, t, np.array([k]), cfg)[0])
-    return _extract_real(value, f"solve_at(k={k}, t={t})")
+        route = _lattice_sites
+    return float(route(spectrum, params, t, np.array([k]), cfg)[0])
 
 
 def solve_grid(
@@ -356,8 +404,9 @@ def solve_grid(
     """Solve on a whole (times x sites) grid.
 
     On the trig route one mesh evaluation plus one FFT per time slice
-    produces every site at once; a closed form is solved site by site
-    through ``solve_at``.  Sites are deduplicated and sorted ascending.
+    produces every site at once.  A closed form tries each site of a slice
+    on the descent route, and the sites it refuses share one lattice solve.
+    Sites are deduplicated and sorted ascending.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
@@ -369,13 +418,14 @@ def solve_grid(
 
     values = np.empty((len(times), site_idx.size))
     for i, t in enumerate(times):
-        if spectrum.power_sum is not None:
-            values[i] = [solve_at(spectrum, params, t, k, cfg) for k in site_idx.tolist()]
+        if spectrum.power_sum is None:
+            values[i] = _trig_sites(spectrum, params, t, site_idx, cfg)
             continue
-        row = _trig_sites(spectrum, params, t, site_idx, cfg)
-        worst = np.argmax(np.abs(row.imag))
-        _extract_real(complex(row[worst]), f"solve_grid(t={t})")
-        values[i] = row.real
+        # a refusal, None, is stored as NaN, which the descent route never returns
+        values[i] = [_descent_solve(spectrum, params, t, k, cfg) for k in site_idx.tolist()]
+        refused = np.flatnonzero(np.isnan(values[i]))
+        if refused.size:
+            values[i, refused] = _lattice_sites(spectrum, params, t, site_idx[refused], cfg)
     # the sites' Python ints are built after the meshes are freed
     return SolutionGrid(params, tuple(times), tuple(site_idx.tolist()), values)
 
@@ -412,8 +462,8 @@ def windowed_sup(
 
     The fastest mode travels no faster than omega1, so a window of
     1.1 * omega1 * t + 60 sites keeps the boundary values negligible.  A
-    trig window whose mesh would pass ``max_mesh`` is refused before its
-    sites are built.
+    window whose trig mesh, or the lattice state of whose closed form,
+    would pass ``max_mesh`` is refused before its sites are built.
     """
     cfg = cfg or SolverConfig()
     if not 0.0 <= t < math.inf:
@@ -422,6 +472,8 @@ def windowed_sup(
         window = int(math.ceil(1.1 * params.omega1 * t)) + 60
     if spectrum.power_sum is None:
         _trig_route_mesh(spectrum, params, t, window, cfg)
+    else:
+        _lattice_cut(spectrum.power_sum, params, t, window, cfg)
     sites = range(-window, window + 1)
     grid = solve_grid(spectrum, params, [t], sites, cfg)
     return max_norm(grid, 0)

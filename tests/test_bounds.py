@@ -135,8 +135,8 @@ class TestAlphaFamily:
         )
 
     def test_spectrum_symmetry(self):
-        # what the one-half graded route rests on: every closed form is
-        # real, even in lam and 2pi-periodic
+        # what the lattice route rests on: every closed form is real, even
+        # in lam and 2pi-periodic, so its coefficients are real and p_-j = p_j
         lam = np.linspace(0.3, 3.0, 11)
         near_zero = np.array([1e-24, 1e-12, 1e-6])
         for spectrum in (bounds.alpha_spectrum(0.3), bounds.epsilon_spectrum(0.4)):
@@ -232,58 +232,6 @@ class TestEpsilonFamily:
         for bad in (0.0, 0.5, 0.7):
             with pytest.raises(ValueError):
                 bounds.epsilon_spectrum(bad)
-
-
-def direct_p_tilde(mesh, lam):
-    """P-tilde as the plain sum over the alpha rule, term by term."""
-    log_s = np.log(np.abs(np.sin(lam / 2.0)))
-    out = np.zeros_like(log_s)
-    for w, a in zip(mesh.weights, mesh.alphas):
-        out += w * np.exp(-a * log_s)
-    return out
-
-
-def graded_nodes_up_to(log2_max):
-    """Graded nodes lam = 2 u^4 of every mesh 2^8 .. 2^log2_max: the 32
-    nearest the singular endpoint and every (n/256)-th of the rest."""
-    top = (np.pi / 2.0) ** 0.25
-    picked = []
-    for e in range(8, log2_max + 1):
-        n = 1 << e
-        j = np.union1d(np.arange(1, 33), np.arange(1, n + 1, n >> 8))
-        picked.append(2.0 * (top * j / n) ** 4)
-    return np.concatenate(picked)
-
-
-class TestEpsilonInterpolant:
-    """EpsilonSpectrum.p_values interpolates ln P-tilde; the direct sum is the reference."""
-
-    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.4, 0.49])
-    def test_matches_direct_sum(self, eps):
-        mesh = bounds.build_epsilon_mesh(eps)
-        half = graded_nodes_up_to(24)
-        # both halves of the period, and lam = 1e-40, whose
-        # x = -ln|sin(lam/2)| ~ 92.8 lies beyond the interpolated range
-        lam = np.concatenate([half, 2.0 * np.pi - half, [1e-40]])
-        assert -math.log(math.sin(0.5e-40)) > bounds._LOG_X_MAX
-        got = mesh.p_values(lam)
-        ref = direct_p_tilde(mesh, lam)
-        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
-
-    def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_CHEB_DEGREE", 2)
-        with pytest.raises(ValueError, match="interpolant"):
-            bounds.build_epsilon_mesh(0.4)
-        with pytest.raises(ValueError, match="interpolant"):
-            bounds.epsilon_spectrum(0.4)
-
-    def test_blocks_join_seamlessly(self, monkeypatch):
-        # a short block makes every call cross many block boundaries
-        lam = np.linspace(1e-3, 2.0 * np.pi - 1e-3, 1001)
-        mesh = bounds.build_epsilon_mesh(0.3)
-        whole = mesh.p_values(lam)
-        monkeypatch.setattr(bounds, "_CLENSHAW_BLOCK", 7)
-        assert np.array_equal(mesh.p_values(lam), whole)
 
 
 class TestGrowthPrediction:

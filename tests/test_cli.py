@@ -413,12 +413,14 @@ class TestGrowth:
         assert summary["full_chain"]["rel_err"] <= 0.1
 
     def test_full_chain_max_mesh_is_read(self, tmp_path):
-        # at t = 1 the descent route misses abs_tol, so the graded route
-        # runs and its starting mesh passes max_mesh
-        cfg = dict(GROWTH, full_chain={"t": 1.0, "abs_tol": 1e-9, "max_mesh": 256})
-        cfg["output_path"] = str(tmp_path / "g.csv")
-        path = write_config(tmp_path, "c.json", cfg)
-        assert cli.main(["growth", "--config", str(path)]) == 3
+        # at t = 25 the descent route misses an abs_tol of 1e-30, so the
+        # lattice route runs; its state is cut at |j| <= 40, whose mesh
+        # must exceed 80: past a max_mesh of 64, within one of 128
+        for max_mesh, code in ((64, 3), (128, 1)):
+            cfg = dict(GROWTH, full_chain={"t": 25.0, "abs_tol": 1e-30, "max_mesh": max_mesh})
+            cfg["output_path"] = str(tmp_path / "g.csv")
+            path = write_config(tmp_path, "c.json", cfg)
+            assert cli.main(["growth", "--config", str(path)]) == code
 
     def test_pinned_growth_rejected(self, tmp_path):
         cfg = {

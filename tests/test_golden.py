@@ -35,3 +35,26 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch):
     assert produced == expected
     for name in sorted(expected):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+#: 30-digit mpmath q_k(t) of the simulate_alpha case (alpha = 0.25,
+#: omega1 = 1/2), by (t, |k|)
+SIMULATE_ALPHA_MPMATH = {
+    (2.0, 0): 0.57077764210753890551,
+    (2.0, 1): 0.19038710583313727503,
+    (2.0, 3): 0.049509227763155857895,
+    (5.0, 0): 0.46728576517090549875,
+    (5.0, 1): 0.65934856240647697286,
+    (5.0, 3): 0.18085454091028083179,
+}
+
+
+def test_simulate_alpha_against_mpmath():
+    # the closed-form golden is pinned to its values, not only its bytes
+    lines = (GOLDEN / "simulate_alpha.csv").read_text().splitlines()
+    for line in lines[1:]:
+        t, k, q = line.split(",")
+        if float(t) == 0.0:
+            assert q == "0"
+        else:
+            assert abs(float(q) - SIMULATE_ALPHA_MPMATH[(float(t), abs(int(k)))]) <= 1e-10, line

@@ -1,6 +1,7 @@
 """Chain model: parameters, dispersion, transforms, energy."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -163,6 +164,20 @@ class TestTransforms:
                     q_k, p_k = model.inverse_transform(spectrum, site)
                     assert q_k == 0.0
                     assert p_k == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_inverse_of_closed_form_refuses_far_sites(self):
+        # the recurrence takes O(|k|) time and memory: past
+        # MAX_COEFFICIENT_SITE it is refused before anything is allocated
+        spectrum = bounds.epsilon_spectrum(0.3)
+        tracemalloc.start()
+        try:
+            for k in (10**9, -(10**9), model.MAX_COEFFICIENT_SITE + 1):
+                with pytest.raises(ValueError, match="coefficient index"):
+                    model.inverse_transform(spectrum, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_inverse_of_epsilon_family(self):
         # 211 terms, down to alpha ~ 1e-100 and up to 1/2, all positive

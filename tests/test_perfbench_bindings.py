@@ -53,17 +53,6 @@ def _traced_epsilon_solve(params: model.ChainParams) -> dict:
     return tracer.stats(lambda task: True)
 
 
-def test_epsilon_solve_reaches_p_values():
-    # the tracer's bounds.p_values.* metrics time the graded route's hot
-    # path only while the epsilon family evaluates P-tilde through
-    # p_values; on the unpinned chain this solve takes the descent route,
-    # so the graded solve here is on a pinned chain
-    stats = _traced_epsilon_solve(model.ChainParams(0.1, 0.5))
-    points = stats["bounds.p_values"]["count"]
-    assert points > 0
-    assert points == stats["model.dispersion"]["count"]
-
-
 def test_unpinned_epsilon_solve_skips_p_values():
     # the descent route sums the power sum directly: no P-tilde point, no
     # graded mesh

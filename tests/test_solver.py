@@ -1,4 +1,4 @@
-"""Spectral solver: kernels, pointwise and grid solves, singular route."""
+"""Spectral solver: kernels, pointwise and grid solves, closed-form routes."""
 
 import math
 import re
@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainwave import bounds, model, quadrature, solver
@@ -235,12 +235,11 @@ class TestSolveAt:
         cfg = solver.SolverConfig(mesh_points=16, tolerance=1e-13, max_mesh=32)
         with pytest.raises(ConvergenceError):
             solver.solve_at(spike(), UNPINNED, 50.0, 0, cfg)
-        # a run that reaches max_mesh says how close it came (on a pinned
-        # chain, since the unpinned one takes the descent route here)
-        cfg = solver.SolverConfig(tolerance=1e-13, max_mesh=1024)
-        with pytest.raises(ConvergenceError, match=r"the last mesh, 1024, still moved by") as err:
+        # a closed form's lattice state names the mesh it needs (on a
+        # pinned chain, since the unpinned one takes the descent route here)
+        cfg = solver.SolverConfig(tolerance=1e-13, max_mesh=64)
+        with pytest.raises(ConvergenceError, match=r"its mesh must exceed \d+; max_mesh=64"):
             solver.solve_at(bounds.alpha_spectrum(0.25), model.ChainParams(0.1, 0.5), 50.0, 0, cfg)
-        assert float(str(err.value).rsplit(" ", 1)[1]) >= 1e-13
 
     def test_negative_time_rejected(self):
         for t in (-1.0, math.nan, math.inf):
@@ -276,7 +275,8 @@ class TestMeshCap:
             raise AssertionError("a mesh was evaluated")
 
         monkeypatch.setattr(solver, "_mesh_eval", refuse)
-        monkeypatch.setattr(quadrature, "graded_half_integral", refuse)
+        # a closed form's lattice state is not built either
+        monkeypatch.setattr(model.PowerSum, "coefficients", refuse)
 
     CFG = solver.SolverConfig(max_mesh=1 << 20)
 
@@ -284,7 +284,7 @@ class TestMeshCap:
         with pytest.raises(ConvergenceError):
             solver.solve_at(spike(), UNPINNED, 1.0, 10**7, self.CFG)
 
-    def test_solve_at_graded(self):
+    def test_solve_at_lattice(self):
         alpha = bounds.alpha_spectrum(0.25)
         with pytest.raises(ConvergenceError):
             solver.solve_at(alpha, model.ChainParams(0.0, 0.5), 1.0, 10**7, self.CFG)
@@ -294,15 +294,18 @@ class TestMeshCap:
             solver.solve_grid(spike(), UNPINNED, [1.0], [-(10**7), 0], self.CFG)
 
     def test_windowed_sup_refuses_before_building_sites(self):
-        # the default window at t = 1e6 holds 2.2e6 sites
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
-                solver.windowed_sup(spike(p=1.0), UNPINNED, 1e6, solver.SolverConfig(max_mesh=4096))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # the default window at t = 1e6 holds 2.2e6 sites; the closed form
+        # is refused before its descent sites, too
+        cfg = solver.SolverConfig(max_mesh=4096)
+        for spectrum in (spike(p=1.0), bounds.alpha_spectrum(0.25)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
+                    solver.windowed_sup(spectrum, UNPINNED, 1e6, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 def trapezoid_sites(spectrum, params, t, n, sites):
@@ -547,6 +550,24 @@ class TestSolveGrid:
             (1.0, -3), (1.0, 0), (1.0, 3), (2.0, -3), (2.0, 0), (2.0, 3),
         ]
 
+    @pytest.mark.parametrize(
+        "params",
+        [model.ChainParams(0.0, 0.5), model.ChainParams(0.1, 0.5)],
+        ids=["unpinned", "pinned"],
+    )
+    def test_closed_form_slice_matches_solve_at(self, params):
+        # the sites of a slice that the descent route refuses share one
+        # lattice solve, cut for the widest of them; each stays within the
+        # tolerance of its own solve
+        cfg = solver.SolverConfig()
+        sites = [-25, -9, -3, 0, 2, 7, 16, 30]
+        for spectrum in (bounds.alpha_spectrum(0.3), bounds.epsilon_spectrum(0.4)):
+            grid = solver.solve_grid(spectrum, params, [0.0, 3.0, 40.0], sites, cfg)
+            for i, t in enumerate(grid.times):
+                for k in sites:
+                    single = solver.solve_at(spectrum, params, t, k, cfg)
+                    assert grid.at(i, k) == pytest.approx(single, abs=cfg.tolerance), (t, k)
+
     def test_csv_round_trip(self, tmp_path):
         grid = solver.solve_grid(spike(), UNPINNED, [0.0, 1.0], [-1, 0, 1], TIGHT)
         out = tmp_path / "grid.csv"
@@ -607,8 +628,6 @@ class TestSingularRoute:
         "alpha, t, tolerance, margin",
         [
             (0.25, 4.0, 1e-9, 1e-8),
-            # tight: the graded nodes reach lam ~ 1e-24, whose distance to
-            # the singular endpoint must survive to the last digit
             (0.4, 100.0, 1e-11, 1e-11),
         ],
     )
@@ -627,56 +646,10 @@ class TestSingularRoute:
         assert got == pytest.approx(ref, abs=margin)
 
 
-def per_level_coefficient(fun, k, n_start, tolerance, n_max):
-    """graded_coefficient with every level evaluated in full, the reference
-    for the nested-node reuse."""
-
-    def at(n):
-        half = quadrature.graded_half_integral(lambda lam: fun(lam).real * np.cos(k * lam), n)
-        return half / np.pi
-
-    return quadrature.refine_until(at, n_start, tolerance, n_max)
-
-
-GRADED_SPECTRA = {
+CLOSED_FORMS = {
     "alpha": lambda: bounds.alpha_spectrum(0.3),
     "epsilon": lambda: bounds.epsilon_spectrum(0.4),
 }
-
-
-class TestNestedGradedNodes:
-    """Each doubling of the graded mesh evaluates only its new odd nodes."""
-
-    HALF = model.ChainParams(0.0, 0.5)
-
-    @pytest.mark.parametrize("family", sorted(GRADED_SPECTRA))
-    @pytest.mark.parametrize("k", [0, 3, -5])
-    @pytest.mark.parametrize("t", [0.0, 10.0, 1e3])
-    def test_equals_per_level_reference(self, family, k, t):
-        evolved = solver.evolve_spectrum(GRADED_SPECTRA[family](), self.HALF, t)
-        n0 = quadrature.graded_mesh_start(k, t * self.HALF.omega0_prime)
-        args = (evolved, k, n0, 1e-7, 1 << 20)
-        assert quadrature.graded_coefficient(*args) == per_level_coefficient(*args)
-
-    def test_evaluates_final_mesh_once(self, monkeypatch):
-        sizes = []
-        meshes = []
-        evolved = solver.evolve_spectrum(bounds.alpha_spectrum(0.25), self.HALF, 50.0)
-
-        def counted(lam):
-            sizes.append(len(lam))
-            return evolved(lam)
-
-        def recorded(integrand, n):
-            meshes.append(n)
-            return half_integral(integrand, n)
-
-        half_integral = quadrature.graded_half_integral
-        monkeypatch.setattr(quadrature, "graded_half_integral", recorded)
-        quadrature.graded_coefficient(counted, 0, 256, 1e-9, 1 << 20)
-        # one call per mesh, each at the nodes the previous mesh lacked
-        assert len(meshes) >= 6 and len(sizes) == len(meshes)
-        assert sum(sizes) == max(meshes)
 
 
 class TestGaussLaguerre:
@@ -696,59 +669,67 @@ class TestGaussLaguerre:
                 assert moment == pytest.approx(math.gamma(beta + j + 1.0), rel=1e-13)
 
 
-def graded_reference(spectrum, params, t, k, cfg):
-    """``solve_at``'s graded route, called directly: the reference for the
+#: the lattice route as defined here, out of reach of monkeypatching
+LATTICE_SITES = solver._lattice_sites
+
+
+def lattice_reference(spectrum, params, t, k, cfg):
+    """``solve_at``'s lattice route, called directly: the reference for the
     descent route and for its fallbacks."""
-    n0 = max(cfg.mesh_points, quadrature.graded_mesh_start(k, t * params.omega0_prime))
-    evolved = solver.evolve_spectrum(spectrum, params, t)
-    return quadrature.graded_coefficient(evolved, k, n0, cfg.tolerance, cfg.max_mesh)
+    return float(LATTICE_SITES(spectrum, params, t, np.array([k]), cfg)[0])
 
 
-def alpha_reference(alpha, t, k):
-    """30-digit mpmath q_k(t) of the alpha family at omega1 = 1/2."""
-    f = lambda lam: (
-        mp.sin(t * mp.sin(lam / 2)) / mp.sin(lam / 2) ** (1 + mp.mpf(alpha)) * mp.cos(k * lam)
-    )
+def alpha_reference(alpha, t, k, params=model.ChainParams(0.0, 0.5)):
+    """30-digit mpmath q_k(t) of the alpha family, on panels of about one
+    oscillation each."""
+    w0, w1 = mp.mpf(params.omega0), mp.mpf(params.omega1)
+
+    def f(lam):
+        s = mp.sin(lam / 2)
+        om = mp.sqrt(w0**2 + 4 * w1**2 * s**2)
+        return mp.sin(t * om) / om / s ** mp.mpf(alpha) * mp.cos(k * lam)
+
     a = bounds.alpha_normalization(alpha)
-    return float(a / mp.pi * mp.quad(f, [mp.pi * j / 16 for j in range(17)]))
+    n = max(16, int(abs(k) + t * params.omega0_prime) // 2)
+    return float(a / mp.pi * mp.quad(f, [mp.pi * j / n for j in range(n + 1)]))
 
 
 class TestDescentRoute:
-    """Power sums on the unpinned chain: steepest descent, graded fallback."""
+    """Power sums on the unpinned chain: steepest descent, lattice fallback."""
 
     HALF = model.ChainParams(0.0, 0.5)
 
     @pytest.fixture
-    def no_graded(self, monkeypatch):
+    def no_lattice(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the graded route ran")
+            raise AssertionError("the lattice route ran")
 
-        monkeypatch.setattr(solver, "graded_coefficient", refuse)
+        monkeypatch.setattr(solver, "_lattice_sites", refuse)
 
     @pytest.mark.parametrize("t, ref", [(100.0, 1.142161137488487), (1e3, 2.074991813603672)])
-    def test_alpha_against_mpmath_values(self, no_graded, t, ref):
-        # mpmath q_0(t) at alpha = 0.25; the graded route at tolerance 1e-10
-        # is 9.1e-12 and 1.5e-11 off
+    def test_alpha_against_mpmath_values(self, no_lattice, t, ref):
+        # mpmath q_0(t) at alpha = 0.25
         got = solver.solve_at(bounds.alpha_spectrum(0.25), self.HALF, t, 0, TIGHT)
         assert got == pytest.approx(ref, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.4])
     @pytest.mark.parametrize("k", [0, 3])
-    def test_alpha_against_mpmath(self, no_graded, alpha, k):
+    def test_alpha_against_mpmath(self, no_lattice, alpha, k):
         got = solver.solve_at(
             bounds.alpha_spectrum(alpha), self.HALF, 20.0, k, solver.SolverConfig(tolerance=1e-11)
         )
         assert got == pytest.approx(alpha_reference(alpha, 20.0, k), abs=1e-12)
 
     @pytest.mark.parametrize("t", [1e2, 1e3, 1e4])
-    def test_epsilon_against_graded(self, no_graded, t):
+    def test_epsilon_against_lattice(self, no_lattice, t):
         spectrum = bounds.epsilon_spectrum(0.3)
         cfg = solver.SolverConfig(tolerance=1e-7)
         got = solver.solve_at(spectrum, self.HALF, t, 0, cfg)
-        assert got == pytest.approx(graded_reference(spectrum, self.HALF, t, 0, cfg), abs=1e-7)
+        assert got == pytest.approx(lattice_reference(spectrum, self.HALF, t, 0, cfg), abs=1e-7)
 
-    def test_growth_past_the_graded_route(self, no_graded):
-        # t = 1e9: the graded route's starting mesh is 2^32 nodes, past any cap
+    def test_growth_past_the_graded_route(self, no_lattice):
+        # t = 1e9: a quadrature of the spectrum, graded or lattice, would
+        # need a mesh of ~2^32 nodes, past any cap
         t = 1e9
         cfg = solver.SolverConfig(tolerance=1e-6)
         eps = bounds.epsilon_spectrum(0.4)
@@ -760,11 +741,7 @@ class TestDescentRoute:
         q0 = solver.solve_at(bounds.alpha_spectrum(0.25), self.HALF, t, 0, cfg)
         assert abs(q0 - fam.phi_alpha * t**fam.alpha) <= fam.a_alpha * (3.0 + 2.0 / t)
 
-    def test_graded_route_cannot_reach_1e9(self):
-        with pytest.raises(ConvergenceError, match="leaves no doubling"):
-            graded_reference(bounds.alpha_spectrum(0.25), self.HALF, 1e9, 0, solver.SolverConfig())
-
-    @pytest.mark.parametrize("family", sorted(GRADED_SPECTRA))
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
     @pytest.mark.parametrize(
         "params, t, k",
         [
@@ -776,15 +753,31 @@ class TestDescentRoute:
         ],
         ids=["t=0", "tiny-t", "pinned", "large-k", "small-x"],
     )
-    def test_fallback_is_the_graded_value(self, family, params, t, k):
+    def test_fallback_is_the_lattice_value(self, family, params, t, k):
         # where the route does not apply or misses the tolerance, the solve
-        # is today's graded solve, bit for bit, and the attempt is silent
-        spectrum = GRADED_SPECTRA[family]()
-        cfg = solver.SolverConfig(tolerance=1e-8)
+        # is the lattice solve, bit for bit, and the attempt is silent
+        spectrum = CLOSED_FORMS[family]()
+        cfg = solver.SolverConfig(tolerance=1e-11)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = solver.solve_at(spectrum, params, t, k, cfg)
-        assert got == graded_reference(spectrum, params, t, k, cfg)
+        assert got == lattice_reference(spectrum, params, t, k, cfg)
+        if family == "alpha":
+            assert got == pytest.approx(alpha_reference(0.3, t, k, params), abs=1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.1, 0.4), t=st.floats(0.5, 1e3), k=st.integers(-12, 12))
+def test_descent_agrees_with_lattice(alpha, t, k):
+    # wherever the descent route holds, the two routes agree to within both
+    # tolerances
+    spectrum = bounds.alpha_spectrum(alpha)
+    params = model.ChainParams(0.0, 0.5)
+    cfg = solver.SolverConfig()
+    descent = solver._descent_solve(spectrum, params, t, k, cfg)
+    assume(descent is not None)
+    lattice = lattice_reference(spectrum, params, t, k, cfg)
+    assert descent == pytest.approx(lattice, abs=2.0 * cfg.tolerance)
 
 
 @settings(max_examples=40, deadline=None)
@@ -794,9 +787,9 @@ class TestDescentRoute:
     t=st.floats(0.0, 1e3),
     k=st.integers(-8, 8),
 )
-def test_graded_coupling_rescaling(alpha, omega1, t, k):
+def test_closed_form_coupling_rescaling(alpha, omega1, t, k):
     # velocity-only data: q^{w1}(t) = q^{1/2}(2 w1 t) / (2 w1); the rescaled
-    # phase x = 2 w1 t runs from the graded route (small x, or k^2 > 4x)
+    # phase x = 2 w1 t runs from the lattice route (small x, or k^2 > 4x)
     # into the descent route, and the two sides may take different routes
     spectrum = bounds.alpha_spectrum(alpha)
     cfg = solver.SolverConfig(tolerance=1e-9)
