@@ -46,6 +46,22 @@ def _real_entries(values, name: str) -> np.ndarray:
     return entries.astype(float)
 
 
+def _freeze_real_pair(obj, first: str, second: str) -> None:
+    """Set the fields ``first`` and ``second`` of the frozen dataclass
+    ``obj`` to read-only float arrays, refusing entries that are not real
+    numbers, arrays that are not 1-d of equal, nonzero length and values
+    that are not finite."""
+    a = _real_entries(getattr(obj, first), first)
+    b = _real_entries(getattr(obj, second), second)
+    if a.ndim != 1 or a.shape != b.shape or len(a) == 0:
+        raise ValueError(f"{first} and {second} must be 1-d arrays of equal, nonzero length")
+    for name, arr in ((first, a), (second, b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Chain frequencies and lattice constant.
@@ -111,20 +127,7 @@ class LatticeState:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        q = _real_entries(self.q, "q")
-        p = _real_entries(self.p, "p")
-        if q.ndim != 1 or p.ndim != 1 or len(q) != len(p):
-            raise ValueError("q and p must be 1-d arrays of equal length")
-        if len(q) == 0:
-            raise ValueError("state must have at least one site")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("q must be finite")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("p must be finite")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        _freeze_real_pair(self, "q", "p")
 
     @property
     def support_max(self) -> int:
@@ -241,10 +244,11 @@ def mean_coefficient(alpha: float) -> float:
 class SpectralPair:
     """2pi-periodic spectral data (Q, P), one of two representations.
 
-    A trig pair is the trigonometric polynomial with coefficients
-    ``q_coeffs``/``p_coeffs`` at sites ``support_min`` onward.  A closed
-    form is its ``power_sum``: Q = 0 and P that sum, real, even in lam and
-    singular only at lam = 0 (mod 2pi).  Exactly one of the two is given.
+    A trig pair is the trigonometric polynomial with real, finite
+    coefficients ``q_coeffs``/``p_coeffs`` at sites ``support_min`` onward,
+    frozen after construction.  A closed form is its ``power_sum``: Q = 0
+    and P that sum, real, even in lam and singular only at lam = 0 (mod
+    2pi).  Exactly one of the two is given.
     """
 
     support_min: int | None = None
@@ -259,6 +263,9 @@ class SpectralPair:
                 "a spectral pair takes exactly one of its trig coefficients "
                 "(support_min, q_coeffs, p_coeffs) or a power_sum"
             )
+        if self.power_sum is None:
+            # the trig route takes real FFTs of the coefficients
+            _freeze_real_pair(self, "q_coeffs", "p_coeffs")
 
     def Q(self, lam: float | np.ndarray) -> complex | np.ndarray:
         return self._values(lam, self.q_coeffs, None)

@@ -10,7 +10,10 @@ in one evaluation, on a mesh certified in advance: the trapezoid error of
 mesh n is the aliased solution sum_{l != 0} q_{k+ln}(t), and because
 cos(t omega) and sin(t omega)/omega are entire in lam, a contour shift
 into the strip |Im lam| < a bounds it (Trefethen & Weideman, SIAM Review
-56, 2014); the sites of a solve, one or many, come out of a single FFT.
+56, 2014).  The coefficients are real and the time factors real and even
+in lam, so the nodes j <= n/2 determine the evolved spectrum: one real
+FFT of the folded coefficients gives it there, and one inverse real FFT
+gives the sites of a solve, one or many.
 
 A closed form is a power sum, P(lam) = sum_i w_i |sin(lam/2)|^(-alpha_i)
 with Q = 0.  On the unpinned chain it is first tried on the
@@ -40,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import model
-from .model import ChainParams, SpectralPair, _extract_real, dispersion
+from .model import ChainParams, SpectralPair, dispersion
 from .quadrature import ConvergenceError, certified_mesh, gauss_laguerre, periodic_mesh
 from .reports import GridRows, write_csv
 from .specfun import bohmer_sine_integral
@@ -166,29 +169,27 @@ def evolve_spectrum(spectrum: SpectralPair, params: ChainParams, t: float):
 def _mesh_eval(
     spectrum: SpectralPair, params: ChainParams, t: float, n: int
 ) -> np.ndarray:
-    """Evolved trig spectrum sampled on the uniform n-mesh.
+    """The conjugate of the evolved trig spectrum on the half n-mesh, the
+    n/2 + 1 nodes lam_j, j <= n/2.
 
-    Q and P are synthesized by an inverse FFT of the coefficients folded
-    onto their residues mod n; at the nodes e^{i k lam} depends only on
-    k mod n, so the fold is exact for any coefficient span.  The products
-    are formed in the synthesized arrays, so that peak memory stays at the
-    mesh-long arrays the synthesis needs.  omega is evaluated for j <= n/2
-    and mirrored: exactly even, it leaves real data no imaginary residue.
+    The coefficients are folded onto their residues mod n, one row for Q
+    and one for P; at the nodes e^{i k lam} depends only on k mod n, so the
+    fold is exact for any coefficient span.  One real FFT of both rows
+    gives conj Q and conj P at the nodes j <= n/2, which determine the
+    rest: the coefficients are real and cos(t omega) and sin(t omega)/omega
+    are real and even in lam.  The time factors multiply the transformed
+    rows in place.
     """
-    om = dispersion(params, periodic_mesh(n)[: n // 2 + 1])
-    om = np.concatenate([om, om[-2:0:-1]])
-    c_q = np.zeros(n, dtype=complex)
-    c_p = np.zeros(n, dtype=complex)
     idx = np.mod(np.arange(spectrum.support_min, spectrum.support_min + len(spectrum.q_coeffs)), n)
-    np.add.at(c_q, idx, spectrum.q_coeffs)
-    np.add.at(c_p, idx, spectrum.p_coeffs)
-    q_vals = np.fft.ifft(c_q, norm="forward")
-    p_vals = np.fft.ifft(c_p, norm="forward")
-    p_vals *= sinc_kernel(t, om)
+    folded = np.zeros((2, n))
+    np.add.at(folded, (slice(None), idx), (spectrum.q_coeffs, spectrum.p_coeffs))
+    q_half, p_half = np.fft.rfft(folded)
+    om = dispersion(params, periodic_mesh(n)[: n // 2 + 1])
+    p_half *= sinc_kernel(t, om)
     om *= t
-    q_vals *= np.cos(om, out=om)
-    q_vals += p_vals
-    return q_vals
+    q_half *= np.cos(om, out=om)
+    q_half += p_half
+    return q_half
 
 
 def _strip_prefactors(params: ChainParams, t: float, q_norm: float, p_norm: float) -> list:
@@ -247,14 +248,10 @@ def _trig_route_mesh(
 def _trig_sites(
     spectrum: SpectralPair, params: ChainParams, t: float, sites: np.ndarray, cfg: SolverConfig
 ) -> np.ndarray:
-    """Real q_k(t) at ``sites`` of a trig pair: one certified mesh, one
-    ``_mesh_eval`` and one forward FFT, whose largest imaginary residue at
-    the sites must pass ``_extract_real``."""
+    """q_k(t) at ``sites`` of a trig pair: one certified mesh, one
+    ``_mesh_eval`` and one inverse real FFT, real by construction."""
     n = _trig_route_mesh(spectrum, params, t, int(np.max(np.abs(sites))), cfg)
-    row = np.fft.fft(_mesh_eval(spectrum, params, t, n), norm="forward")[np.mod(sites, n)]
-    worst = np.argmax(np.abs(row.imag))
-    _extract_real(complex(row[worst]), f"q_{sites[worst]}(t={t})")
-    return row.real
+    return np.fft.irfft(_mesh_eval(spectrum, params, t, n), n)[np.mod(sites, n)]
 
 
 def _lattice_cut(
@@ -319,6 +316,12 @@ def _descent_tables(alpha_bytes: bytes) -> tuple[np.ndarray, list]:
     return bohmer, rules
 
 
+def _descent_holds(params: ChainParams, t: float, k: int) -> bool:
+    """Whether the descent route holds at site k: on an unpinned chain, at
+    t > 0 and for k^2 <= ``_DESCENT_REACH`` x, x = 2 omega1 t."""
+    return not params.pinned and t > 0.0 and k * k <= _DESCENT_REACH * 2.0 * params.omega1 * t
+
+
 def _descent_solve(
     spectrum: SpectralPair, params: ChainParams, t: float, k: int, cfg: SolverConfig
 ) -> float | None:
@@ -342,10 +345,10 @@ def _descent_solve(
     the rules of both ``_DESCENT_NODES`` agree to ``cfg.tolerance``.  It
     neither warns nor raises on the way to None.
     """
+    if not _descent_holds(params, t, k):
+        return None
     x = 2.0 * params.omega1 * t
     m = abs(k)
-    if params.pinned or not (t > 0.0 and m * m <= _DESCENT_REACH * x):
-        return None
     alphas, weights = spectrum.power_sum.alphas, spectrum.power_sum.weights
     bohmer, rules = _descent_tables(alphas.tobytes())
     values = []
@@ -403,10 +406,13 @@ def solve_grid(
 ) -> SolutionGrid:
     """Solve on a whole (times x sites) grid.
 
-    On the trig route one mesh evaluation plus one FFT per time slice
-    produces every site at once.  A closed form tries each site of a slice
-    on the descent route, and the sites it refuses share one lattice solve.
-    Sites are deduplicated and sorted ascending.
+    On the trig route one half-mesh evaluation plus one inverse real FFT
+    per time slice produces every site at once.  A closed form tries each
+    site of a slice on the descent route, and the sites it refuses share
+    one lattice solve; a slice whose widest site the route can never take
+    has that site's cut checked first, so a state past ``max_mesh`` is
+    refused before any site is tried.  Sites are deduplicated and sorted
+    ascending.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
@@ -415,6 +421,15 @@ def solve_grid(
         raise ValueError("times and sites must be non-empty")
     if not all(0.0 <= t < math.inf for t in times):
         raise ValueError("solve_grid requires finite t >= 0")
+
+    if spectrum.power_sum is not None:
+        # a slice whose widest site is off the descent route takes the
+        # lattice route there whatever the rules give: its cut must fit
+        # before any site is solved
+        widest = int(np.max(np.abs(site_idx)))
+        for t in times:
+            if not _descent_holds(params, t, widest):
+                _lattice_cut(spectrum.power_sum, params, t, widest, cfg)
 
     values = np.empty((len(times), site_idx.size))
     for i, t in enumerate(times):

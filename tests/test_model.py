@@ -144,6 +144,30 @@ class TestTransforms:
             with pytest.raises(ValueError, match="exactly one of"):
                 model.SpectralPair(**fields)
 
+    @pytest.mark.parametrize(
+        "q, p, match",
+        [
+            (np.array([1.0 + 0.5j]), np.ones(1), "q_coeffs entries must be real"),
+            (np.ones(2), np.array([1.0, 0j]), "p_coeffs entries must be real"),
+            (np.array([1.0, math.nan]), np.ones(2), "q_coeffs must be finite"),
+            (np.ones(2), np.array([math.inf, 0.0]), "p_coeffs must be finite"),
+            ([[1.0, 2.0], [3.0]], [1.0, 2.0], "q_coeffs entries must be real"),
+            (np.ones(3), np.ones(2), "equal, nonzero length"),
+            (np.ones((2, 2)), np.ones((2, 2)), "1-d arrays"),
+            (np.ones(0), np.ones(0), "equal, nonzero length"),
+        ],
+    )
+    def test_trig_coefficients_must_be_real_finite_1d(self, q, p, match):
+        # the trig route takes real FFTs of the coefficients, so anything
+        # else is refused here, not deep in a solve
+        with pytest.raises(ValueError, match=match):
+            model.SpectralPair(support_min=0, q_coeffs=q, p_coeffs=p)
+
+    def test_trig_coefficients_are_frozen_floats(self):
+        spectrum = model.SpectralPair(support_min=-1, q_coeffs=[1, 2], p_coeffs=np.array([0, 3]))
+        for coeffs in (spectrum.q_coeffs, spectrum.p_coeffs):
+            assert coeffs.dtype == float and not coeffs.flags.writeable
+
     @staticmethod
     def exact_coefficient(alpha, k):
         """c_k(alpha) of |sin(lam/2)|^(-alpha) in 30 digits."""

@@ -67,6 +67,17 @@ def test_graded_half_integral_takes_n_second():
     assert list(inspect.signature(quadrature.graded_half_integral).parameters)[1] == "n"
 
 
+def test_mesh_eval_takes_spectrum_params_t_n_first():
+    # the tracer wraps _mesh_eval as traced(spectrum, params, t, n, ...)
+    # and records the mesh n of every solve_grid slice from it
+    assert list(inspect.signature(solver._mesh_eval).parameters)[:4] == [
+        "spectrum",
+        "params",
+        "t",
+        "n",
+    ]
+
+
 @pytest.mark.parametrize("name", ["grid-sweep", "slow-growth", "oracle-compare", "ray-pointwise"])
 def test_one_seeded_pass_meets_every_check(name, tmp_path):
     # one pass of the workload, each task run and then verified as the

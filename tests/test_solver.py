@@ -128,7 +128,8 @@ class TestSolveAt:
 
     def test_mesh_synthesis_folds_wide_support(self):
         # the FFT synthesis of a support wider than the mesh folds the
-        # coefficients onto their aliases: the dense sum at the nodes
+        # coefficients onto their aliases: the conjugate of the dense sum
+        # at the nodes j <= n/2
         rng = np.random.default_rng(14)
         state = model.LatticeState(-150, rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300))
         spectrum = model.forward_transform(state)
@@ -136,16 +137,42 @@ class TestSolveAt:
         for n in (128, 256):
             dense = solver.evolve_spectrum(spectrum, params, 3.0)(quadrature.periodic_mesh(n))
             synthesized = solver._mesh_eval(spectrum, params, 3.0, n)
-            assert np.max(np.abs(synthesized - dense)) < 1e-10
+            assert np.max(np.abs(synthesized - dense[: n // 2 + 1].conj())) < 1e-10
 
-    def test_phase_mesh_is_exactly_even(self):
-        # real data has Hermitian spectra, so an omega that is not exactly
-        # even in lam leaves an imaginary residue that grows with t
+    @pytest.mark.parametrize("params", [UNPINNED, model.ChainParams(0.7, 1.0)])
+    @pytest.mark.parametrize("half_width", [2, 150])
+    def test_half_mesh_sites_match_dense_reference(self, params, half_width):
+        # the real FFTs of the half mesh against one complex FFT of the
+        # evolved spectrum on all n nodes, on supports narrower and wider
+        # than the mesh, at sites of both signs and at the Nyquist bin
+        # k = +-n/2; the reference's rounding of t omega, up to about
+        # 1e-12 at t = 1e3, also shows as its imaginary residue
+        rng = np.random.default_rng(15)
+        size = 2 * half_width + 1
+        state = model.LatticeState(-half_width, rng.uniform(-1, 1, size), rng.uniform(-1, 1, size))
+        spectrum = model.forward_transform(state)
+        for n in (64, 256, 4096):
+            sites = np.array([-n // 2 - 3, -n // 2, -7, -1, 0, 1, 5, n // 2 - 1, n // 2])
+            for t in (0.0, 1.0, 37.5, 1e3):
+                dense = solver.evolve_spectrum(spectrum, params, t)(quadrature.periodic_mesh(n))
+                ref = np.fft.fft(dense, norm="forward")[np.mod(sites, n)]
+                got = trapezoid_sites(spectrum, params, t, n, sites)
+                assert got.dtype == float
+                assert np.max(np.abs(got - ref.real)) < 1e-11, (n, t)
+
+    def test_long_time_window_matches_dense_reference(self):
+        # at t = 1e5 the phase t omega is rounded to about 1e-11, and the
+        # half-mesh route must stay within that rounding of the dense
+        # reference over the whole window on a 2^19 mesh
         state = model.LatticeState(-1, np.array([0.3, 1.0, -0.5]), np.array([0.2, 0.0, 0.7]))
+        spectrum = model.forward_transform(state)
         t, n = 1e5, 1 << 19
         window = np.arange(-110060, 110061)
-        row = trapezoid_sites(model.forward_transform(state), UNPINNED, t, n, window)
-        assert np.max(np.abs(row.imag)) <= 1e-14
+        dense = solver.evolve_spectrum(spectrum, UNPINNED, t)(quadrature.periodic_mesh(n))
+        ref = np.fft.fft(dense, norm="forward")[np.mod(window, n)]
+        row = trapezoid_sites(spectrum, UNPINNED, t, n, window)
+        assert np.max(np.abs(row - ref.real)) < 1e-10
+        assert np.max(np.abs(row)) > 0.1
 
     def test_time_symmetry_cosine(self):
         # pure displacement data evolves through cos(t omega): even in t,
@@ -227,7 +254,7 @@ class TestSolveAt:
             for k in (0, 3, -(int(t) // 2), int(t)):
                 n = solver._trig_route_mesh(spectrum, params, t, abs(k), edge)
                 assert_first_certified(n, spectrum, params, t, abs(k), edge)
-                ref = trapezoid_sites(spectrum, params, t, 16 * n, np.array([k]))[0].real
+                ref = trapezoid_sites(spectrum, params, t, 16 * n, np.array([k]))[0]
                 got = solver.solve_at(spectrum, params, t, k, edge)
                 assert abs(got - ref) < edge.tolerance, (t, k)
 
@@ -307,11 +334,31 @@ class TestMeshCap:
                 tracemalloc.stop()
             assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "params, t, sites",
+        [
+            # k^2 > 4x = 8e6 at the widest sites only
+            (UNPINNED, 1e6, range(-5000, 5001)),
+            (model.ChainParams(0.5, 1.0), 1e4, range(-10, 11)),
+            (UNPINNED, 0.0, range(-5000, 5001)),
+        ],
+    )
+    def test_solve_grid_refuses_closed_form_before_descent(self, monkeypatch, params, t, sites):
+        # a slice whose widest site is off the descent route (k^2 > 4x, a
+        # pinned chain, t = 0) is refused before any site is tried on it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a site was tried on the descent route")
+
+        monkeypatch.setattr(solver, "_descent_solve", refuse)
+        cfg = solver.SolverConfig(max_mesh=4096)
+        with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
+            solver.solve_grid(bounds.alpha_spectrum(0.25), params, [t], sites, cfg)
+
 
 def trapezoid_sites(spectrum, params, t, n, sites):
-    """Trapezoid values of mesh n at ``sites``, one FFT of the evolved mesh."""
-    coeffs = np.fft.fft(solver._mesh_eval(spectrum, params, t, n), norm="forward")
-    return coeffs[np.mod(sites, n)]
+    """Trapezoid values of mesh n at ``sites``, one inverse real FFT of the
+    evolved half mesh."""
+    return np.fft.irfft(solver._mesh_eval(spectrum, params, t, n), n)[np.mod(sites, n)]
 
 
 def wide_state(half_width=300):
@@ -372,9 +419,9 @@ class TestAliasBound:
         assert n == 1024
         assert_first_certified(n, spectrum, params, t, 0, TIGHT)
         ref = trapezoid_sites(spectrum, params, t, self.REFERENCE_MESH, np.array([-2, 0, 5]))
-        assert solver.solve_at(spectrum, params, t, 0, TIGHT) == pytest.approx(ref[1].real, abs=1e-12)
+        assert solver.solve_at(spectrum, params, t, 0, TIGHT) == pytest.approx(ref[1], abs=1e-12)
         grid = solver.solve_grid(spectrum, params, [t], [-2, 0, 5], TIGHT)
-        assert np.allclose(grid.values[0], ref.real, rtol=0.0, atol=1e-12)
+        assert np.allclose(grid.values[0], ref, rtol=0.0, atol=1e-12)
 
 
 class TestCertifiedMesh:
