@@ -10,7 +10,6 @@ if "CHAINWAVE_THREADS" in _os.environ:
         _os.environ.setdefault(_var, _os.environ["CHAINWAVE_THREADS"])
 
 from .asymptotics import (
-    AsymptoteReport,
     FitResult,
     RayGeometry,
     bessel_time_integral,

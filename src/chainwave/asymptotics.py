@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, SpectralPair, _extract_real, dispersion, require_unpinned
+from .model import ChainParams, SpectralPair, dispersion, require_unpinned
 from .solver import SolverConfig, solve_at
 from .specfun import bessel_j_running_integral
 
@@ -139,17 +139,19 @@ def ray_asymptote(
 ) -> float:
     """Leading term of q_k(beta |k|) on a supersonic ray.
 
-    (1/sqrt|k|) sum_branches c (F+[Q] - i F-[P/omega]) with
-    F_pm[g] = g(-s mu) e^{i omega(|k|)} +/- g(s mu) e^{-i omega(|k|)},
-    s = sign(k).  For k > 0 the e^{i omega} wave is stationary at -mu, the
+    (1/sqrt|k|) sum_branches 2 c (Re(Q(-s mu) e^{i omega}) +
+    Im(P(-s mu)/omega(mu) e^{i omega})), omega = omega_pm(|k|), s =
+    sign(k).  For k > 0 the e^{i omega} wave is stationary at -mu, the
     critical point of lam - beta omega(lam); q_k for k < 0 is q_|k| of the
-    reflected data Q(lam) -> Q(-lam), which swaps the two points.  Real for
-    Hermitian-symmetric spectra.
+    reflected data Q(lam) -> Q(-lam), which swaps the two points.  The
+    e^{-i omega} wave at s mu is the conjugate of that at -s mu, since real
+    coefficients give Q(s mu) = conj Q(-s mu) and likewise P, so each
+    branch is twice a real part and Q, P are evaluated once per branch.
     """
     if k == 0:
         raise ValueError("ray_asymptote requires k != 0")
     s = 1.0 if k > 0 else -1.0
-    total = 0.0 + 0.0j
+    total = 0.0
     for branch, mu, om_mu, c in (
         (+1, geo.mu_plus, geo.omega_mu_plus, geo.c_plus),
         (-1, geo.mu_minus, geo.omega_mu_minus, geo.c_minus),
@@ -158,12 +160,10 @@ def ray_asymptote(
             continue
         w = geo.phase(branch, abs(k))
         rot = complex(math.cos(w), math.sin(w))
-        q_pos, q_neg = spectrum.Q(-s * mu), spectrum.Q(s * mu)
-        p_pos, p_neg = spectrum.P(-s * mu) / om_mu, spectrum.P(s * mu) / om_mu
-        total += c * (q_pos * rot + q_neg * rot.conjugate())
-        total += -1j * c * (p_pos * rot - p_neg * rot.conjugate())
-    value = total / math.sqrt(abs(k))
-    return _extract_real(value, f"ray_asymptote(k={k})")
+        q_wave = spectrum.Q(-s * mu) * rot
+        p_wave = spectrum.P(-s * mu) / om_mu * rot
+        total += 2.0 * c * (q_wave.real + p_wave.imag)
+    return total / math.sqrt(abs(k))
 
 
 def fixed_k_asymptote_pinned(
@@ -182,10 +182,10 @@ def fixed_k_asymptote_pinned(
     w0 = params.omega0
     w0p = params.omega0_prime
     w1 = params.omega1
-    q_bottom = _extract_real(spectrum.Q(0.0), "Q(0)")
-    p_bottom = _extract_real(spectrum.P(0.0), "P(0)")
-    q_top = _extract_real(spectrum.Q(math.pi), "Q(pi)")
-    p_top = _extract_real(spectrum.P(math.pi), "P(pi)")
+    q_bottom = spectrum.Q(0.0).real
+    p_bottom = spectrum.P(0.0).real
+    q_top = spectrum.Q(math.pi).real
+    p_top = spectrum.P(math.pi).real
     c1 = math.sqrt(w0 / (2.0 * math.pi)) / w1 * q_bottom
     s1 = math.sqrt(w0 / (2.0 * math.pi)) / (w1 * w0) * p_bottom
     c2 = math.sqrt(w0p / (2.0 * math.pi)) / w1 * q_top
@@ -208,9 +208,9 @@ def fixed_k_asymptote_unpinned(
     if t <= 0.0:
         raise ValueError("requires t > 0")
     w1 = params.omega1
-    p_bottom = _extract_real(spectrum.P(0.0), "P(0)")
-    q_top = _extract_real(spectrum.Q(math.pi), "Q(pi)")
-    p_top = _extract_real(spectrum.P(math.pi), "P(pi)")
+    p_bottom = spectrum.P(0.0).real
+    q_top = spectrum.Q(math.pi).real
+    p_top = spectrum.P(math.pi).real
     c = q_top / math.sqrt(math.pi * w1)
     s = p_top / (2.0 * w1 * math.sqrt(math.pi * w1))
     phase = 2.0 * w1 * t - math.pi / 4.0
@@ -237,28 +237,8 @@ def bessel_time_integral(k: int, t: float, params: ChainParams) -> float:
 
 
 # --------------------------------------------------------------------------
-# residual reports and decay-exponent fits
+# decay-exponent fits
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AsymptoteReport:
-    """Exact value vs closed-form prediction at one grid point."""
-
-    exact: float
-    predicted: float
-    residual: float
-    scaled_residual: float
-
-    @classmethod
-    def make(cls, exact: float, predicted: float, scale: float) -> "AsymptoteReport":
-        residual = exact - predicted
-        return cls(
-            exact=exact,
-            predicted=predicted,
-            residual=residual,
-            scaled_residual=residual * scale,
-        )
 
 
 @dataclass(frozen=True)

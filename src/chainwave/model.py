@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: imaginary residue above this fraction of the magnitude trips the
-#: Hermitian-symmetry assertion when real values are extracted
-IMAG_RESIDUE_TOL = 1e-10
 #: largest lattice index whose closed-form coefficient is computed; the
 #: coefficients come from an O(|k|) recurrence, refused past it
 MAX_COEFFICIENT_SITE = 1 << 23
@@ -184,16 +181,11 @@ class PowerSum:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        alphas = _real_entries(self.alphas, "alphas")
-        weights = _real_entries(self.weights, "weights")
-        if alphas.ndim != 1 or alphas.shape != weights.shape or len(alphas) == 0:
-            raise ValueError("alphas and weights must be 1-d arrays of equal, nonzero length")
-        if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        _freeze_real_pair(self, "alphas", "weights")
+        if not np.all((self.alphas > 0.0) & (self.alphas < 1.0)):
             raise ValueError("alphas must lie in (0, 1)")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        alphas, where = np.unique(alphas, return_inverse=True)
-        weights = np.bincount(where, weights=weights, minlength=len(alphas))
+        alphas, where = np.unique(self.alphas, return_inverse=True)
+        weights = np.bincount(where, weights=self.weights, minlength=len(alphas))
         for name, arr in (("alphas", alphas), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -291,15 +283,6 @@ class SpectralPair:
 def forward_transform(state: LatticeState) -> SpectralPair:
     """Q(lam) = sum_k q_k e^{i k lam} and likewise P, as a trig polynomial."""
     return SpectralPair(support_min=state.support_min, q_coeffs=state.q, p_coeffs=state.p)
-
-
-def _extract_real(value: complex, context: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_TOL * (1.0 + abs(value)):
-        raise ArithmeticError(
-            f"{context}: imaginary residue {value.imag:.3e} exceeds tolerance; "
-            "spectral data is not Hermitian-symmetric"
-        )
-    return value.real
 
 
 def inverse_transform(spectrum: SpectralPair, k: int) -> tuple[float, float]:

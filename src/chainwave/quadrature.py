@@ -1,6 +1,6 @@
 """Quadrature kernels shared by the solver and the special functions.
 
-Three families cover every integral in the package:
+Four families cover every integral in the package:
 
 * uniform trapezoid on the periodic cell [0, 2pi) -- spectrally accurate
   for smooth periodic integrands, on one mesh certified in advance by an
@@ -9,7 +9,10 @@ Three families cover every integral in the package:
   algebraic endpoint singularities, where spectral convergence is wanted
   at modest node counts;
 * Gauss-Laguerre rules for the legs of the steepest-descent route, on
-  which the oscillation e^{ixs} has become the decay e^{-u}.
+  which the oscillation e^{ixs} has become the decay e^{-u};
+* composite 16-point Gauss-Legendre panels for the oscillatory bodies of
+  the special-function checks (``specfun.bohmer_quadrature`` and
+  ``dirichlet_constant_check``), with panels that resolve the oscillation.
 
 ``refine_until`` and ``graded_half_integral`` have no caller in the
 package; the tracer of ``perfbench/`` binds them by name.

@@ -48,9 +48,6 @@ from .quadrature import ConvergenceError, certified_mesh, gauss_laguerre, period
 from .reports import GridRows, write_csv
 from .specfun import bohmer_sine_integral
 
-#: series/direct switch for sin(t omega)/omega
-_SINC_SWITCH = 1e-2
-_SINC_TERMS = 8
 #: strip half-widths a over which the alias bound is minimized
 _STRIP_WIDTHS = tuple(2.0 ** (j / 2.0) for j in range(-6, 11))
 #: Gauss-Laguerre node counts of the descent route; the finer value is
@@ -128,10 +125,11 @@ class SolutionGrid:
 
 
 def sinc_kernel(t: float, omega: float | np.ndarray) -> float | np.ndarray:
-    """sin(t omega)/omega, continued through omega = 0 by its power series.
+    """sin(t omega)/omega, continued through omega = 0 by its limit t.
 
-    Below t*omega = 1e-2 an 8-term alternating series in (t omega)^2 is
-    used; both branches agree to machine precision at the switch.
+    One quotient of sin(z), z = t omega, by omega: it keeps full relative
+    precision for every normal z, and below the smallest normal z, where
+    sin(t omega)/omega rounds to t, the value is t.
     """
     if t < 0.0:
         raise ValueError("sinc_kernel requires t >= 0")
@@ -139,17 +137,9 @@ def sinc_kernel(t: float, omega: float | np.ndarray) -> float | np.ndarray:
     if np.any(om < 0.0):
         raise ValueError("sinc_kernel requires omega >= 0")
     z = t * om
-    small = z < _SINC_SWITCH
-    out = np.empty_like(om)
-    if np.any(small):
-        z2 = z[small] ** 2
-        series = np.zeros_like(z2)
-        for m in range(_SINC_TERMS - 1, 0, -1):
-            series = (series + (-1.0) ** m / math.factorial(2 * m + 1)) * z2
-        out[small] = t * (1.0 + series)
-    big = ~small
-    if np.any(big):
-        out[big] = np.sin(z[big]) / om[big]
+    out = np.full_like(z, t)
+    # a NaN z fails z < tiny and so stays NaN through the quotient
+    np.divide(np.sin(z), om, out=out, where=~(z < np.finfo(float).tiny))
     return float(out) if np.isscalar(omega) else out
 
 

@@ -95,20 +95,33 @@ class TestRayAsymptote:
         geo = asym.ray_geometry(3.0, PINNED)
         assert asym.ray_asymptote(spike(q=0.0), geo, 16, PINNED) == 0.0
 
-    def test_real_output_structure(self):
-        # Hermitian data collapses to 2 c Re(Q(mu) e^{i omega}) per branch
+    @pytest.mark.parametrize("k", [16, -16], ids=["k-positive", "k-negative"])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            model.LatticeState.single_site(0, q=1.0),
+            model.LatticeState(-1, [0.3, 1.0, -0.4], [0.5, -0.2, 0.7]),
+        ],
+        ids=["spike", "asymmetric"],
+    )
+    def test_real_output_structure(self, state, k):
+        # the two-point sum c (Q(-s mu) e^{iw} + Q(s mu) e^{-iw}) - i c
+        # (P(-s mu) e^{iw} - P(s mu) e^{-iw})/omega(mu), s = sign(k), is real
+        # for real data and is the asymptote
         geo = asym.ray_geometry(3.0, PINNED)
-        spectrum = spike()
-        k = 16
+        spectrum = model.forward_transform(state)
+        s = 1.0 if k > 0 else -1.0
         expected = 0.0
-        for branch, mu, c in (
-            (+1, geo.mu_plus, geo.c_plus),
-            (-1, geo.mu_minus, geo.c_minus),
+        for branch, mu, om_mu, c in (
+            (+1, geo.mu_plus, geo.omega_mu_plus, geo.c_plus),
+            (-1, geo.mu_minus, geo.omega_mu_minus, geo.c_minus),
         ):
-            w = geo.phase(branch, k)
-            expected += 2.0 * c * (complex(spectrum.Q(mu)) * np.exp(1j * w)).real
-        expected /= math.sqrt(k)
-        assert asym.ray_asymptote(spectrum, geo, k, PINNED) == pytest.approx(expected)
+            wave = np.exp(1j * geo.phase(branch, abs(k)))
+            expected += c * (spectrum.Q(-s * mu) * wave + spectrum.Q(s * mu) * wave.conjugate())
+            expected -= 1j * c * (spectrum.P(-s * mu) * wave - spectrum.P(s * mu) * wave.conjugate()) / om_mu
+        expected /= math.sqrt(abs(k))
+        assert abs(expected.imag) <= 1e-15
+        assert asym.ray_asymptote(spectrum, geo, k, PINNED) == pytest.approx(expected.real)
 
     @pytest.mark.parametrize(
         "state, k, exact",
@@ -302,17 +315,6 @@ class TestBesselTimeIntegral:
         assert asym.bessel_time_integral(800, 2400.0, UNPINNED) == pytest.approx(
             running_integral_reference(1600, 4800.0) / 2.0, abs=1e-13
         )
-
-
-class TestAsymptoteReport:
-    def test_make_fills_residuals(self):
-        rep = asym.AsymptoteReport.make(exact=2.0, predicted=1.5, scale=4.0)
-        assert rep.residual == pytest.approx(0.5)
-        assert rep.scaled_residual == pytest.approx(2.0)
-
-    def test_zero_scale_keeps_finite(self):
-        rep = asym.AsymptoteReport.make(exact=1.0, predicted=1.0, scale=100.0)
-        assert rep.residual == 0.0 and rep.scaled_residual == 0.0
 
 
 class TestDecayFits:

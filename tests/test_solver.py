@@ -52,12 +52,23 @@ class TestSincKernel:
             1.9949899732081087, rel=1e-14
         )
 
-    def test_branch_continuity(self):
-        t = 1.0
-        switch = 1e-2
-        below = solver.sinc_kernel(t, switch * (1.0 - 1e-9))
-        above = solver.sinc_kernel(t, switch * (1.0 + 1e-9))
-        assert below == pytest.approx(above, rel=1e-14)
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e6])
+    def test_quotient_against_mpmath(self, t):
+        # the reference is sin(fl(t omega))/omega at 30 digits; where fl(t
+        # omega) is 0 or subnormal it is the exact sin(t omega)/omega, which
+        # rounds to t.  The factor 4/3 fills the mantissa of omega, so that a
+        # subnormal fl(t omega) has rounded and fl(t omega)/omega is not t.
+        zs = np.array([0.0, 1e-310, 1e-300, 1e-8, 1e-2, 1e2])
+        oms = zs / t * (4.0 / 3.0)
+        out = solver.sinc_kernel(t, oms)
+        for om, value in zip(oms, out):
+            z = t * om
+            if z >= np.finfo(float).tiny:
+                ref = mp.sin(mp.mpf(z)) / mp.mpf(om)
+            else:
+                ref = mp.sin(mp.mpf(t) * mp.mpf(om)) / mp.mpf(om) if om else mp.mpf(t)
+            assert abs(value - ref) <= 4.4e-16 * abs(ref), (t, om)
+            assert solver.sinc_kernel(t, float(om)) == value
 
     def test_array_input(self):
         om = np.array([0.0, 1e-8, 0.3, 2.0])
