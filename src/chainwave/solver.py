@@ -10,10 +10,13 @@ in one evaluation, on a mesh certified in advance: the trapezoid error of
 mesh n is the aliased solution sum_{l != 0} q_{k+ln}(t), and because
 cos(t omega) and sin(t omega)/omega are entire in lam, a contour shift
 into the strip |Im lam| < a bounds it (Trefethen & Weideman, SIAM Review
-56, 2014).  The coefficients are real and the time factors real and even
-in lam, so the nodes j <= n/2 determine the evolved spectrum: one real
-FFT of the folded coefficients gives it there, and one inverse real FFT
-gives the sites of a solve, one or many.
+56, 2014).  There the time factors grow like e^{t I(a)}, I(a) the largest
+|Im omega| on the strip's edge, in closed form; as a -> 0, I(a)/a tends
+to the top group velocity, so the mesh follows the chain's wave front.
+The coefficients are real and the time factors real and even in lam, so
+the nodes j <= n/2 determine the evolved spectrum: one real FFT of the
+folded coefficients gives it there, and one inverse real FFT gives the
+sites of a solve, one or many.
 
 A closed form is a power sum, P(lam) = sum_i w_i |sin(lam/2)|^(-alpha_i)
 with Q = 0.  On the unpinned chain it is first tried on the
@@ -37,6 +40,7 @@ import dataclasses
 import functools
 import math
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,21 +186,59 @@ def _mesh_eval(
     return q_half
 
 
-def _strip_prefactors(params: ChainParams, t: float, q_norm: float, p_norm: float) -> list:
-    """(a, ln(2 (q_norm cosh(tW) + p_norm sinh(tW)/W))) per strip width a.
+def _im_omega_max(omega0: float, omega1: float, a: float) -> float:
+    """I(a) = max over real x of |Im omega(x + ia)|, in closed form.
 
-    The time factors are entire in omega^2 = omega0^2 + 2 omega1^2 (1 - cos
-    lam), and on the strip |Im lam| <= a, |omega| <= W with W^2 = omega0^2 +
-    2 omega1^2 (1 + cosh a); so the Fourier coefficients of cos(t omega) and
-    sin(t omega)/omega obey |C_m| <= cosh(tW) e^{-a|m|} and |S_m| <=
-    sinh(tW)/W e^{-a|m|}.  Kept in logs, since cosh(tW) overflows at large t.
+    With k = 2 omega1^2, c = cosh a and u = cos x, omega^2 = A + iB where
+    A = omega0^2 + k (1 - u c) and B = k sinh(a) sin x, and |Im omega| =
+    sqrt((|omega^2| - A)/2), which vanishes at u = -1.  Its one critical
+    point inside (-1, 1) is the smaller root u* = c/(r + sqrt(r^2 - 1)) of
+    u^2 - 2 r c u + c^2 = 0, r = 1 + omega0^2/k, so I(a) is the larger of
+    the values at u* (when u* < 1) and at u = 1, sqrt(max(0, -A)).  On the
+    unpinned chain u* >= 1 and I(a) = 2 omega1 sinh(a/2).
+    """
+    k = 2.0 * omega1**2
+    if k == 0.0:
+        # omega1^2 underflows: omega = omega0 on the whole strip
+        return 0.0
+    c = math.cosh(a)
+    # -A at u = 1 is k (c - 1) - omega0^2, with c - 1 = 2 sinh^2(a/2)
+    best = math.sqrt(max(0.0, 2.0 * k * math.sinh(0.5 * a) ** 2 - omega0**2))
+    d = omega0**2 / k
+    u = c / (1.0 + d + math.sqrt(d * (2.0 + d)))
+    if u < 1.0:
+        real = k * (1.0 + d - u * c)
+        imag = k * math.sinh(a) * math.sqrt((1.0 - u) * (1.0 + u))
+        modulus = math.hypot(real, imag)
+        # |omega^2| - A, free of cancellation where A > 0
+        gap = imag * imag / (modulus + real) if real > 0.0 else modulus - real
+        best = max(best, math.sqrt(0.5 * gap))
+    return best
+
+
+@functools.lru_cache(maxsize=8)
+def _strip_rates(omega0: float, omega1: float) -> tuple[tuple[float, float], ...]:
+    """(a, I(a)) per strip width a of the chain (omega0, omega1)."""
+    return tuple((a, _im_omega_max(omega0, omega1, a)) for a in _STRIP_WIDTHS)
+
+
+def _strip_prefactors(params: ChainParams, t: float, q_norm: float, p_norm: float) -> list:
+    """(a, ln(2 (q_norm cosh(tI) + p_norm sinh(tI)/I))) per strip width a.
+
+    The time factors are entire in lam, and on the line Im lam = +-a,
+    |Im omega| <= I(a) (``_im_omega_max``); so |cos(t omega)| <= cosh(tI)
+    and |sin(t omega)/omega| = |int_0^t cos(s omega) ds| <= sinh(tI)/I,
+    and the Fourier coefficients of the two obey |C_m| <= cosh(tI) e^{-a|m|}
+    and |S_m| <= sinh(tI)/I e^{-a|m|}.  Kept in logs, since cosh(tI)
+    overflows at large t.
     """
     prefactors = []
-    for a in _STRIP_WIDTHS:
-        w = math.sqrt(params.omega0**2 + 2.0 * params.omega1**2 * (1.0 + math.cosh(a)))
-        x = t * w
-        # 2 (q_norm cosh x + p_norm sinh(x)/w) e^{-x}, free of overflow
-        scaled = q_norm * (1.0 + math.exp(-2.0 * x)) - p_norm * math.expm1(-2.0 * x) / w
+    for a, rate in _strip_rates(params.omega0, params.omega1):
+        x = t * rate
+        # 2 (q_norm cosh x + p_norm sinh(x)/rate) e^{-x}, free of overflow;
+        # sinh(x)/rate tends to t as the rate vanishes
+        sinh_term = -math.expm1(-2.0 * x) / rate if rate > 0.0 else 2.0 * t
+        scaled = q_norm * (1.0 + math.exp(-2.0 * x)) + p_norm * sinh_term
         prefactors.append((a, x + math.log(scaled) if scaled > 0.0 else -math.inf))
     return prefactors
 
@@ -209,7 +251,7 @@ def _alias_log_bound(
 
     That error is the aliased solution sum_{l != 0} q_{k+ln}(t); summed over
     the aliases, the coefficient bounds of ``_strip_prefactors`` give
-    |error| <= (|q|_1 cosh(tW) + |p|_1 sinh(tW)/W) 2 e^{-a(n-reach)} /
+    |error| <= (|q|_1 cosh(tI) + |p|_1 sinh(tI)/I) 2 e^{-a(n-reach)} /
     (1 - e^{-an}), minimized over a.
     """
     q_norm = float(np.sum(np.abs(spectrum.q_coeffs)))
@@ -251,8 +293,8 @@ def _lattice_cut(
     |j| > J, of a closed form move no site |k| <= k_max by half the tolerance.
 
     They move site k by sum_{|j|>J} p_j G_{k-j}(t), G the response to a unit
-    kick, whose |G_m| <= sinh(tW)/W e^{-a|m|} by ``_strip_prefactors``; with
-    |p_j| <= C0 = sum_i |w_i| c_0(alpha_i), the sum is at most C0 sinh(tW)/W
+    kick, whose |G_m| <= sinh(tI)/I e^{-a|m|} by ``_strip_prefactors``; with
+    |p_j| <= C0 = sum_i |w_i| c_0(alpha_i), the sum is at most C0 sinh(tI)/I
     2 e^{-a(J+1-|k|)}/(1 - e^{-a}).  Raises ``ConvergenceError`` before
     anything is built if the state's mesh, past 2 (k_max + J), passes max_mesh.
     """
@@ -401,25 +443,30 @@ def solve_grid(
     site of a slice on the descent route, and the sites it refuses share
     one lattice solve; a slice whose widest site the route can never take
     has that site's cut checked first, so a state past ``max_mesh`` is
-    refused before any site is tried.  Sites are deduplicated and sorted
-    ascending.
+    refused before the sites are deduplicated or any site is tried.  Sites
+    are deduplicated and sorted ascending.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
-    site_idx = np.asarray(sorted(set(map(int, sites))))
-    if not times or not site_idx.size:
-        raise ValueError("times and sites must be non-empty")
     if not all(0.0 <= t < math.inf for t in times):
         raise ValueError("solve_grid requires finite t >= 0")
 
     if spectrum.power_sum is not None:
         # a slice whose widest site is off the descent route takes the
         # lattice route there whatever the rules give: its cut must fit
-        # before any site is solved
-        widest = int(np.max(np.abs(site_idx)))
-        for t in times:
-            if not _descent_holds(params, t, widest):
-                _lattice_cut(spectrum.power_sum, params, t, widest, cfg)
+        # before the site set is built or any site is solved
+        if not isinstance(sites, Collection):
+            sites = list(sites)
+        if len(sites):
+            # int() keeps the order of the sites, so the widest is an extreme
+            widest = max(abs(int(min(sites))), abs(int(max(sites))))
+            for t in times:
+                if not _descent_holds(params, t, widest):
+                    _lattice_cut(spectrum.power_sum, params, t, widest, cfg)
+
+    site_idx = np.asarray(sorted(set(map(int, sites))))
+    if not times or not site_idx.size:
+        raise ValueError("times and sites must be non-empty")
 
     values = np.empty((len(times), site_idx.size))
     for i, t in enumerate(times):

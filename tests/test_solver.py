@@ -365,6 +365,21 @@ class TestMeshCap:
         with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
             solver.solve_grid(bounds.alpha_spectrum(0.25), params, [t], sites, cfg)
 
+    def test_solve_grid_refuses_closed_form_before_site_set(self, monkeypatch):
+        # 4.4 million sites past the cap: refused from their extremes, before
+        # the deduplicated site set is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the site set was built")
+
+        monkeypatch.setattr(solver, "set", refuse, raising=False)
+        cfg = solver.SolverConfig(max_mesh=4096)
+        sites = range(-2_200_000, 2_200_001)
+        with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
+            solver.solve_grid(bounds.alpha_spectrum(0.25), UNPINNED, [1e6], sites, cfg)
+        # sites given once, as an iterator, are read twice all the same
+        with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
+            solver.solve_grid(bounds.alpha_spectrum(0.25), UNPINNED, [1e6], iter([0, 5000]), cfg)
+
 
 def trapezoid_sites(spectrum, params, t, n, sites):
     """Trapezoid values of mesh n at ``sites``, one inverse real FFT of the
@@ -435,6 +450,122 @@ class TestAliasBound:
         assert np.allclose(grid.values[0], ref, rtol=0.0, atol=1e-12)
 
 
+def omega_on_line(omega0, omega1, a, x):
+    """omega(x + ia) by numpy's complex square root."""
+    return np.sqrt(omega0**2 + 2.0 * omega1**2 * (1.0 - np.cos(x + 1j * a)))
+
+
+#: (omega0, omega1): unpinned, then omega0/omega1 from 0.1 to 30
+STRIP_CHAINS = [(0.0, 1.0), (0.1, 1.0), (1.0, 1.0), (2.0, 0.5), (30.0, 1.0)]
+
+
+class TestStripRate:
+    """I(a) = max |Im omega| on the line Im lam = a, which sets the growth
+    of the time factors in the alias bound and the lattice cut."""
+
+    LINE = np.linspace(-np.pi, np.pi, 200_001)
+
+    @pytest.mark.parametrize("omega0, omega1", STRIP_CHAINS)
+    def test_closed_form_is_the_maximum(self, omega0, omega1):
+        for a in solver._STRIP_WIDTHS:
+            rate = solver._im_omega_max(omega0, omega1, a)
+            # no sampled point exceeds the closed form ...
+            sampled = float(np.max(np.abs(omega_on_line(omega0, omega1, a, self.LINE).imag)))
+            assert sampled <= rate * (1.0 + 1e-12), a
+            # ... and it is attained at x* = arccos(min(u*, 1))
+            k = 2.0 * omega1**2
+            r = 1.0 + omega0**2 / k
+            u = min(math.cosh(a) / (r + math.sqrt(r * r - 1.0)), 1.0)
+            attained = abs(complex(omega_on_line(omega0, omega1, a, math.acos(u))).imag)
+            assert attained == pytest.approx(rate, rel=1e-14, abs=0.0), a
+
+    @pytest.mark.parametrize("omega1", [0.3, 1.0, 2.0])
+    def test_unpinned_rate(self, omega1):
+        for a in solver._STRIP_WIDTHS:
+            expected = 2.0 * omega1 * math.sinh(0.5 * a)
+            assert solver._im_omega_max(0.0, omega1, a) == pytest.approx(expected, rel=1e-15)
+
+    def test_pinned_rate_follows_the_group_velocity(self):
+        # as a -> 0, I(a)/a tends to the top group velocity, 0.618 at
+        # omega0 = omega1 = 1, against omega1 on the unpinned chain
+        lam = np.linspace(0.0, np.pi, 100_001)
+        omega = model.dispersion(model.ChainParams(1.0, 1.0), lam)
+        top = float(np.max(np.sin(lam) / omega))
+        assert top == pytest.approx(0.618, abs=1e-3)
+        assert solver._im_omega_max(1.0, 1.0, 1e-6) / 1e-6 == pytest.approx(top, rel=1e-6)
+
+    @pytest.mark.parametrize("omega0, omega1", STRIP_CHAINS)
+    def test_time_factors_within_bounds(self, omega0, omega1):
+        x = self.LINE[::10]
+        for a in solver._STRIP_WIDTHS[::2]:
+            rate = solver._im_omega_max(omega0, omega1, a)
+            omega = omega_on_line(omega0, omega1, a, x)
+            for t in (0.3, 3.0, 30.0, 300.0):
+                if t * rate > 300.0:
+                    continue
+                cos_max = np.max(np.abs(np.cos(t * omega)))
+                sinc_max = np.max(np.abs(np.sin(t * omega) / omega))
+                assert cos_max <= math.cosh(t * rate) * (1.0 + 1e-12), (a, t)
+                assert sinc_max <= math.sinh(t * rate) / rate * (1.0 + 1e-12), (a, t)
+
+    def test_rates_are_cached_per_chain(self):
+        rates = solver._strip_rates(1.0, 1.0)
+        assert solver._strip_rates(1.0, 1.0) is rates
+        assert [a for a, _ in rates] == list(solver._STRIP_WIDTHS)
+
+    def test_uncoupled_limit(self):
+        # omega1^2 underflows: the rate is 0 and each site oscillates alone,
+        # q_0(t) = cos(omega0 t) + 0.5 sin(omega0 t)/omega0, or 1 + 0.5 t
+        assert solver._im_omega_max(1.0, 1e-200, 1.0) == 0.0
+        data = spike(q=1.0, p=0.5)
+        got = solver.solve_at(data, model.ChainParams(1.0, 1e-200), 10.0, 0)
+        assert got == pytest.approx(math.cos(10.0) + 0.5 * math.sin(10.0), rel=1e-14)
+        got = solver.solve_at(data, model.ChainParams(0.0, 1e-200), 10.0, 0)
+        assert got == pytest.approx(6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("t, mesh", [(1e2, 128), (1e3, 1024), (1e4, 8192)])
+    def test_pinned_mesh_is_tight(self, t, mesh):
+        # a kick at site 3 on the pinned chain: the certified mesh meets
+        # the tolerance against a mesh 2^4 finer, half of it does not
+        edge = solver.SolverConfig(mesh_points=16, tolerance=1e-13)
+        kick = spike(q=0.0, p=1.0, k=3)
+        params = model.ChainParams(1.0, 1.0)
+        n = solver._trig_route_mesh(kick, params, t, 0, edge)
+        assert n == mesh
+        assert_first_certified(n, kick, params, t, 0, edge)
+        ref = trapezoid_sites(kick, params, t, 16 * n, np.array([0]))[0]
+        assert abs(solver.solve_at(kick, params, t, 0, edge) - ref) < edge.tolerance
+        half = trapezoid_sites(kick, params, t, n // 2, np.array([0]))[0]
+        assert abs(half - ref) > edge.tolerance
+
+    def test_unpinned_kick_mesh(self):
+        # the Bessel kick of the asymptotics check: site 2, k = 800, t = 2400
+        cfg = solver.SolverConfig()
+        kick = spike(q=0.0, p=1.0, k=2)
+        n = solver._trig_route_mesh(kick, UNPINNED, 2400.0, 800, cfg)
+        assert n == 4096
+        assert_first_certified(n, kick, UNPINNED, 2400.0, 800, cfg)
+        ref = trapezoid_sites(kick, UNPINNED, 2400.0, 16 * n, np.array([800]))[0]
+        assert abs(solver.solve_at(kick, UNPINNED, 2400.0, 800, cfg) - ref) < cfg.tolerance
+        half = trapezoid_sites(kick, UNPINNED, 2400.0, n // 2, np.array([800]))[0]
+        assert abs(half - ref) > 0.1
+
+    @pytest.mark.parametrize("t, cut", [(100.0, 98), (1000.0, 698)])
+    def test_lattice_cut_meets_the_tolerance(self, t, cut):
+        # a pinned closed form's cut J: its value agrees, within the
+        # tolerance, with the solve of the state cut at 2J
+        cfg = solver.SolverConfig()
+        alpha = bounds.alpha_spectrum(0.25)
+        params = model.ChainParams(1.0, 1.0)
+        assert solver._lattice_cut(alpha.power_sum, params, t, 0, cfg) == cut
+        half = alpha.power_sum.coefficients(2 * cut)
+        p = np.concatenate([half[:0:-1], half])
+        wide = model.SpectralPair(support_min=-2 * cut, q_coeffs=np.zeros_like(p), p_coeffs=p)
+        half_cfg = solver.SolverConfig(tolerance=0.5 * cfg.tolerance)
+        ref = solver._trig_sites(wide, params, t, np.array([0]), half_cfg)[0]
+        assert abs(solver.solve_at(alpha, params, t, 0, cfg) - ref) < cfg.tolerance
+
+
 class TestCertifiedMesh:
     """``certified_mesh`` returns n > 2 reach, so a grid slice's FFT gives
     every site |k| <= k_max its own bin without a guard in ``solve_grid``."""
@@ -475,7 +606,7 @@ class TestTrigEvaluations:
 
     def test_one_evaluation_per_solve_at(self, meshes):
         params = model.ChainParams(0.5, 1.0)
-        for t, mesh in ((20.0, 64), (200.0, 512)):
+        for t, mesh in ((20.0, 64), (200.0, 256)):
             solver.solve_at(spike(p=1.0), params, t, 7, TIGHT)
             assert meshes == [mesh]
             assert_first_certified(mesh, spike(p=1.0), params, t, 7, TIGHT)
