@@ -10,7 +10,8 @@ Three regimes are covered:
   int_0^t J_{2k}(2 omega1 s) ds;
 * rays t = beta |k|: classified by gamma(beta) = beta^2 omega1^2 - 1 -
   beta omega0 into supersonic (two stationary points, k^(-1/2) amplitude
-  with explicit coefficients), critical and subsonic decay.
+  with explicit coefficients; unpinned, one point plus the plateau
+  P(0)/(2 omega1)), critical and subsonic decay.
 """
 
 from __future__ import annotations
@@ -47,32 +48,35 @@ def classify_ray(beta: float, params: ChainParams) -> str:
 
 
 @dataclass(frozen=True)
-class RayGeometry:
-    """Stationary-phase data of the phase lam + beta omega(lam) on a
-    supersonic ray.
+class StationaryPoint:
+    """One radiating critical point of the phase lam + beta omega(lam).
 
-    mu_plus/mu_minus are the critical points in (-pi, 0] (cos mu =
-    (1 +/- Delta)/(beta omega1)^2, sin mu <= 0); c_plus/c_minus the
-    k^(-1/2) amplitudes; h_plus/h_minus the phase values mu + beta
-    omega(mu) entering omega_pm(k) = k h_pm +/- pi/4 sign(k).
+    mu lies in (-pi, 0) with cos mu = (1 + branch Delta)/(beta omega1)^2;
+    omega = omega(mu); c is the k^(-1/2) amplitude; h = mu + beta omega(mu)
+    is the phase value and h2 = h''(mu) = branch Delta/(beta omega(mu)),
+    of the sign of branch.
     """
 
-    beta: float
-    gamma: float
-    delta: float
-    mu_plus: float
-    mu_minus: float
-    c_plus: float
-    c_minus: float
-    omega_mu_plus: float
-    omega_mu_minus: float
-    h_plus: float
-    h_minus: float
+    branch: int
+    mu: float
+    omega: float
+    c: float
+    h: float
+    h2: float
 
-    def phase(self, branch: int, k: int) -> float:
-        """omega_pm(k) for branch +1/-1; odd in k."""
-        h = self.h_plus if branch > 0 else self.h_minus
-        return k * h + branch * math.pi / 4.0 * float(np.sign(k))
+    def phase(self, k: int) -> float:
+        """k h + branch pi/4 sign(k); odd in k."""
+        return k * self.h + self.branch * math.pi / 4.0 * float(np.sign(k))
+
+
+@dataclass(frozen=True)
+class RayGeometry:
+    """Stationary-phase data of a supersonic ray: the radiating points,
+    plus branch first."""
+
+    beta: float
+    delta: float
+    points: tuple[StationaryPoint, ...]
 
 
 def _phase_derivative(lam: float, beta: float, params: ChainParams) -> float:
@@ -83,55 +87,30 @@ def _phase_derivative(lam: float, beta: float, params: ChainParams) -> float:
 def ray_geometry(beta: float, params: ChainParams) -> RayGeometry:
     """Critical points and amplitudes for a supersonic ray.
 
-    At omega0 = 0 the plus branch degenerates: cos(mu_plus) = 1 exactly,
-    omega(mu_plus) = 0 and c_plus = 0, so only mu_minus radiates.
+    At omega0 = 0 the plus point sits on the kink of omega at lam = 0
+    (cos mu = 1, omega(mu) = 0) and is left out: only the minus point
+    radiates, and the kink gives ``ray_asymptote``'s plateau.
     """
     if classify_ray(beta, params) != "supersonic":
         raise ValueError(f"ray beta={beta} is not supersonic for {params}")
-    gamma = ray_discriminant(beta, params)
     b2w2 = beta * beta * params.omega1**2
     delta = math.sqrt((b2w2 - 1.0) ** 2 - (beta * params.omega0) ** 2)
-
-    geometry = {}
-    for branch, sign in (("plus", +1.0), ("minus", -1.0)):
-        x = (1.0 + sign * delta) / b2w2
+    points = []
+    for branch in (+1, -1):
+        x = (1.0 + branch * delta) / b2w2
         if x >= 1.0 - 1e-14:
-            # omega0 = 0 degeneracy: silent branch
-            mu, om, c = 0.0, 0.0, 0.0
-        else:
-            mu = -math.acos(x)
-            om = dispersion(params, mu)
-            c = 0.5 * math.sqrt(beta * om / (2.0 * math.pi * delta))
-            residual = _phase_derivative(mu, beta, params)
-            if abs(residual) > PHASE_RESIDUAL_TOL:
-                raise ArithmeticError(
-                    f"phase derivative residual {residual:.3e} at mu_{branch}"
-                )
-        geometry[branch] = (mu, om, c)
-
-    mu_p, om_p, c_p = geometry["plus"]
-    mu_m, om_m, c_m = geometry["minus"]
-    return RayGeometry(
-        beta=beta,
-        gamma=gamma,
-        delta=delta,
-        mu_plus=mu_p,
-        mu_minus=mu_m,
-        c_plus=c_p,
-        c_minus=c_m,
-        omega_mu_plus=om_p,
-        omega_mu_minus=om_m,
-        h_plus=mu_p + beta * om_p,
-        h_minus=mu_m + beta * om_m,
-    )
-
-
-def phase_second_derivative(geo: RayGeometry, branch: int) -> float:
-    """h''(mu_pm) = +/- Delta / (beta omega(mu_pm)); sign pattern +/-1."""
-    om = geo.omega_mu_plus if branch > 0 else geo.omega_mu_minus
-    if om == 0.0:
-        raise ValueError("degenerate branch has no second-derivative value")
-    return float(branch) * geo.delta / (geo.beta * om)
+            continue
+        mu = -math.acos(x)
+        residual = _phase_derivative(mu, beta, params)
+        if abs(residual) > PHASE_RESIDUAL_TOL:
+            raise ArithmeticError(
+                f"phase derivative residual {residual:.3e} at the branch {branch:+d} point"
+            )
+        om = dispersion(params, mu)
+        c = 0.5 * math.sqrt(beta * om / (2.0 * math.pi * delta))
+        h2 = branch * delta / (beta * om)
+        points.append(StationaryPoint(branch, mu, om, c, mu + beta * om, h2))
+    return RayGeometry(beta, delta, tuple(points))
 
 
 def ray_asymptote(
@@ -139,31 +118,30 @@ def ray_asymptote(
 ) -> float:
     """Leading term of q_k(beta |k|) on a supersonic ray.
 
-    (1/sqrt|k|) sum_branches 2 c (Re(Q(-s mu) e^{i omega}) +
-    Im(P(-s mu)/omega(mu) e^{i omega})), omega = omega_pm(|k|), s =
-    sign(k).  For k > 0 the e^{i omega} wave is stationary at -mu, the
-    critical point of lam - beta omega(lam); q_k for k < 0 is q_|k| of the
-    reflected data Q(lam) -> Q(-lam), which swaps the two points.  The
-    e^{-i omega} wave at s mu is the conjugate of that at -s mu, since real
-    coefficients give Q(s mu) = conj Q(-s mu) and likewise P, so each
-    branch is twice a real part and Q, P are evaluated once per branch.
+    (1/sqrt|k|) sum_points 2 c (Re(Q(-s mu) e^{i w}) +
+    Im(P(-s mu)/omega(mu) e^{i w})), w = phase(|k|), s = sign(k), plus
+    the plateau P(0)/(2 omega1) of the lam = 0 kink on the unpinned chain.
+    For k > 0 the e^{i w} wave is stationary at -mu, the critical point of
+    lam - beta omega(lam); q_k for k < 0 is q_|k| of the reflected data
+    Q(lam) -> Q(-lam), which swaps the two points.  The e^{-i w} wave at
+    s mu is the conjugate of that at -s mu, since real coefficients give
+    Q(s mu) = conj Q(-s mu) and likewise P, so each point is twice a real
+    part and Q, P are evaluated once per point.
     """
     if k == 0:
         raise ValueError("ray_asymptote requires k != 0")
     s = 1.0 if k > 0 else -1.0
     total = 0.0
-    for branch, mu, om_mu, c in (
-        (+1, geo.mu_plus, geo.omega_mu_plus, geo.c_plus),
-        (-1, geo.mu_minus, geo.omega_mu_minus, geo.c_minus),
-    ):
-        if c == 0.0:
-            continue
-        w = geo.phase(branch, abs(k))
+    for point in geo.points:
+        w = point.phase(abs(k))
         rot = complex(math.cos(w), math.sin(w))
-        q_wave = spectrum.Q(-s * mu) * rot
-        p_wave = spectrum.P(-s * mu) / om_mu * rot
-        total += 2.0 * c * (q_wave.real + p_wave.imag)
-    return total / math.sqrt(abs(k))
+        q_wave = spectrum.Q(-s * point.mu) * rot
+        p_wave = spectrum.P(-s * point.mu) / point.omega * rot
+        total += 2.0 * point.c * (q_wave.real + p_wave.imag)
+    value = total / math.sqrt(abs(k))
+    if not params.pinned:
+        value += spectrum.P(0.0).real / (2.0 * params.omega1)
+    return value
 
 
 def fixed_k_asymptote_pinned(
@@ -255,13 +233,11 @@ _SAMPLES_PER_BIN = 8
 
 
 def fit_decay_exponent(xs, values) -> FitResult:
-    """Log-log least squares; saturated when every |value| is below the floor."""
+    """Log-log least squares; saturated when fewer than two |values| exceed the floor."""
     xs = np.asarray(xs, dtype=float)
     vals = np.abs(np.asarray(values, dtype=float))
     if len(xs) != len(vals) or len(xs) < 2:
         raise ValueError("need at least two samples")
-    if np.all(vals < NOISE_FLOOR):
-        return FitResult(exponent=math.inf, r_squared=1.0, saturated=True)
     keep = vals > NOISE_FLOOR
     lx = np.log(xs[keep])
     ly = np.log(vals[keep])

@@ -296,7 +296,6 @@ def _build_params(raw: dict) -> ChainParams:
     return ChainParams(
         omega0=_real(p.get("omega0", 0.0), "params.omega0"),
         omega1=_real(p["omega1"], "params.omega1"),
-        spacing=_real(p.get("spacing", 1.0), "params.spacing"),
     )
 
 

@@ -61,18 +61,13 @@ def _freeze_real_pair(obj, first: str, second: str) -> None:
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Chain frequencies and lattice constant.
-
-    ``spacing`` only enters absolute positions x_k = q_k + k * spacing;
-    the dynamics of the deviations q is spacing-free.
-    """
+    """Chain frequencies: pinning omega0 and coupling omega1."""
 
     omega0: float
     omega1: float
-    spacing: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "omega1", "spacing"):
+        for name in ("omega0", "omega1"):
             value = getattr(self, name)
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, not {value!r}")
@@ -82,8 +77,6 @@ class ChainParams:
             raise ValueError("omega1 must be positive")
         if self.omega0 < 0.0:
             raise ValueError("omega0 must be nonnegative")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
 
     @property
     def omega0_prime(self) -> float:

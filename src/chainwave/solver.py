@@ -49,7 +49,7 @@ import numpy as np
 from . import model
 from .model import ChainParams, SpectralPair, dispersion
 from .quadrature import ConvergenceError, certified_mesh, gauss_laguerre, periodic_mesh
-from .reports import GridRows, write_csv
+from .reports import GridRows
 from .specfun import bohmer_sine_integral
 
 #: strip half-widths a over which the alias bound is minimized
@@ -97,7 +97,6 @@ class SolverConfig:
 class SolutionGrid:
     """q values on a (times x sites) grid; row-major over times."""
 
-    params: ChainParams
     times: tuple[float, ...]
     sites: tuple[int, ...]
     values: np.ndarray
@@ -122,10 +121,6 @@ class SolutionGrid:
         it a time slice at a time, by the same rule as any other rows.
         """
         return GridRows(self.times, self.sites, self.values)
-
-    def to_csv(self, path) -> None:
-        """Write the grid as ``t,k,q`` rows (deterministic order/format)."""
-        write_csv(path, ["t", "k", "q"], self.rows())
 
 
 def sinc_kernel(t: float, omega: float | np.ndarray) -> float | np.ndarray:
@@ -479,7 +474,7 @@ def solve_grid(
         if refused.size:
             values[i, refused] = _lattice_sites(spectrum, params, t, site_idx[refused], cfg)
     # the sites' Python ints are built after the meshes are freed
-    return SolutionGrid(params, tuple(times), tuple(site_idx.tolist()), values)
+    return SolutionGrid(tuple(times), tuple(site_idx.tolist()), values)
 
 
 def max_norm(grid: SolutionGrid, t_index: int) -> float:

@@ -45,45 +45,52 @@ class TestRayGeometry:
     def test_reference_values(self):
         geo = asym.ray_geometry(3.0, PINNED)
         assert geo.delta == pytest.approx(math.sqrt(55.0), rel=1e-14)
-        assert math.cos(geo.mu_plus) == pytest.approx((1.0 + math.sqrt(55.0)) / 9.0)
-        assert math.cos(geo.mu_minus) == pytest.approx((1.0 - math.sqrt(55.0)) / 9.0)
-        assert math.sin(geo.mu_plus) < 0.0 and math.sin(geo.mu_minus) < 0.0
+        assert [point.branch for point in geo.points] == [+1, -1]
+        for point in geo.points:
+            cos_mu = (1.0 + point.branch * math.sqrt(55.0)) / 9.0
+            assert math.cos(point.mu) == pytest.approx(cos_mu)
+            assert math.sin(point.mu) < 0.0
+            assert point.omega == model.dispersion(PINNED, point.mu)
+            assert point.h == point.mu + 3.0 * point.omega
 
     def test_amplitude_formula(self):
         geo = asym.ray_geometry(3.0, PINNED)
-        for c, om in ((geo.c_plus, geo.omega_mu_plus), (geo.c_minus, geo.omega_mu_minus)):
-            assert c == pytest.approx(
-                0.5 * math.sqrt(3.0 * om / (2.0 * math.pi * geo.delta))
+        for point in geo.points:
+            assert point.c == pytest.approx(
+                0.5 * math.sqrt(3.0 * point.omega / (2.0 * math.pi * geo.delta))
             )
+            # the stationary-phase amplitude 1/(2 sqrt(2 pi |h''|))
+            assert point.c == pytest.approx(0.5 / math.sqrt(2.0 * math.pi * abs(point.h2)))
 
-    def test_unpinned_plus_branch_is_silent(self):
+    def test_unpinned_geometry_has_one_point(self):
+        # the plus point sits on the lam = 0 kink; its contribution is
+        # ray_asymptote's plateau, not a stationary point
         geo = asym.ray_geometry(3.0, UNPINNED)
-        assert geo.c_plus == 0.0
-        assert geo.omega_mu_plus == 0.0
-        assert geo.c_minus > 0.0
+        assert [point.branch for point in geo.points] == [-1]
+        assert geo.points[0].c > 0.0 and geo.points[0].omega > 0.0
 
     def test_second_derivative_signs(self):
         geo = asym.ray_geometry(3.0, PINNED)
-        assert asym.phase_second_derivative(geo, +1) > 0.0
-        assert asym.phase_second_derivative(geo, -1) < 0.0
+        for point in geo.points:
+            assert math.copysign(1.0, point.h2) == point.branch
 
     def test_second_derivative_matches_finite_differences(self):
         geo = asym.ray_geometry(3.0, PINNED)
         h = 1e-5
-        for branch, mu in ((+1, geo.mu_plus), (-1, geo.mu_minus)):
-            def phase(lam):
-                return lam + geo.beta * model.dispersion(PINNED, lam)
 
+        def phase(lam):
+            return lam + geo.beta * model.dispersion(PINNED, lam)
+
+        for point in geo.points:
+            mu = point.mu
             numeric = (phase(mu + h) - 2.0 * phase(mu) + phase(mu - h)) / h**2
-            assert numeric == pytest.approx(
-                asym.phase_second_derivative(geo, branch), rel=1e-4
-            )
+            assert numeric == pytest.approx(point.h2, rel=1e-4)
 
     def test_phase_is_odd_in_k(self):
         geo = asym.ray_geometry(3.0, PINNED)
-        for branch in (+1, -1):
+        for point in geo.points:
             for k in (1, 7, 32):
-                assert geo.phase(branch, -k) == pytest.approx(-geo.phase(branch, k))
+                assert point.phase(-k) == pytest.approx(-point.phase(k))
 
     def test_not_supersonic_raises(self):
         with pytest.raises(ValueError, match="not supersonic"):
@@ -112,13 +119,11 @@ class TestRayAsymptote:
         spectrum = model.forward_transform(state)
         s = 1.0 if k > 0 else -1.0
         expected = 0.0
-        for branch, mu, om_mu, c in (
-            (+1, geo.mu_plus, geo.omega_mu_plus, geo.c_plus),
-            (-1, geo.mu_minus, geo.omega_mu_minus, geo.c_minus),
-        ):
-            wave = np.exp(1j * geo.phase(branch, abs(k)))
+        for point in geo.points:
+            mu, c = point.mu, point.c
+            wave = np.exp(1j * point.phase(abs(k)))
             expected += c * (spectrum.Q(-s * mu) * wave + spectrum.Q(s * mu) * wave.conjugate())
-            expected -= 1j * c * (spectrum.P(-s * mu) * wave - spectrum.P(s * mu) * wave.conjugate()) / om_mu
+            expected -= 1j * c * (spectrum.P(-s * mu) * wave - spectrum.P(s * mu) * wave.conjugate()) / point.omega
         expected /= math.sqrt(abs(k))
         assert abs(expected.imag) <= 1e-15
         assert asym.ray_asymptote(spectrum, geo, k, PINNED) == pytest.approx(expected.real)
@@ -140,6 +145,65 @@ class TestRayAsymptote:
         solved = solver.solve_at(spectrum, PINNED, 3.0 * abs(k), k, TIGHT)
         assert solved == pytest.approx(exact, abs=1e-7)
         assert asym.ray_asymptote(spectrum, geo, k, PINNED) == pytest.approx(solved, abs=1e-5)
+
+    #: float.hex of ray_asymptote on the ray-pointwise benchmark rays,
+    #: (beta, omega0, omega1), at k = 128, -256, 500 and 2000 for the
+    #: asymmetric state below: the pinned point sum is pinned bit for bit
+    PINNED_HEX = {
+        (2.0, 0.5, 1.0): ("-0x1.19351d4601030p-4", "-0x1.586c5255e071fp-6",
+                          "0x1.05e1e23501dc4p-6", "0x1.717761df7cd57p-9"),
+        (3.0, 1.0, 1.0): ("-0x1.3887abbe250bcp-5", "0x1.2c1b759ca55e7p-6",
+                          "0x1.0e37dfb7a78ecp-5", "-0x1.8666468b3dcbep-15"),
+        (8.0, 1.0, 0.5): ("-0x1.10ac6200e84e9p-7", "-0x1.296d1ff09d400p-12",
+                          "0x1.8b0cd0dd0b53ep-6", "0x1.143dc2b6ae4d3p-10"),
+    }
+
+    @pytest.mark.parametrize("beta, omega0, omega1", sorted(PINNED_HEX))
+    def test_pinned_values_are_bit_identical(self, beta, omega0, omega1):
+        params = model.ChainParams(omega0, omega1)
+        geo = asym.ray_geometry(beta, params)
+        spectrum = model.forward_transform(
+            model.LatticeState(-1, [0.3, 1.0, -0.4], [0.5, -0.2, 0.7])
+        )
+        values = [asym.ray_asymptote(spectrum, geo, k, params).hex() for k in (128, -256, 500, 2000)]
+        assert tuple(values) == self.PINNED_HEX[beta, omega0, omega1]
+
+    @pytest.mark.parametrize("omega1, beta", [(1.0, 3.0), (0.5, 8.0), (2.0, 1.5)])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            model.LatticeState.single_site(0, p=1.0),
+            model.LatticeState(-1, [0.3, 1.0, -0.4], [0.5, -0.2, 0.7]),
+        ],
+        ids=["kick", "asymmetric"],
+    )
+    def test_unpinned_plateau(self, omega1, beta, state):
+        # unpinned, the lam = 0 kink adds P(0)/(2 omega1) inside the light
+        # cone; without it the residual is that plateau (0.25 to 1.0 here),
+        # with it the next stationary-phase order, k^(-3/2) (at most 0.088
+        # |k|^(-3/2) measured)
+        params = model.ChainParams(0.0, omega1)
+        geo = asym.ray_geometry(beta, params)
+        spectrum = model.forward_transform(state)
+        for k in (32, 64, 128, 256, 512, -32, -64, -128, -256, -512):
+            exact = solver.solve_at(spectrum, params, beta * abs(k), k, TIGHT)
+            pred = asym.ray_asymptote(spectrum, geo, k, params)
+            assert abs(exact - pred) * abs(k) ** 1.5 <= 0.1, k
+
+    def test_pinned_skips_the_plateau(self):
+        # a pinned chain has no kink: P(0) is never evaluated
+        class NoZero:
+            def Q(self, lam):
+                return spike().Q(lam)
+
+            def P(self, lam):
+                assert lam != 0.0
+                return spike().P(lam)
+
+        geo = asym.ray_geometry(3.0, PINNED)
+        assert asym.ray_asymptote(NoZero(), geo, 16, PINNED) == asym.ray_asymptote(
+            spike(), geo, 16, PINNED
+        )
 
     def test_k_zero_rejected(self):
         geo = asym.ray_geometry(3.0, PINNED)
@@ -327,6 +391,10 @@ class TestDecayFits:
 
     def test_saturation_flag(self):
         fit = asym.fit_decay_exponent([8, 16, 32], [1e-16, 1e-15, 1e-16])
+        assert fit.saturated and math.isinf(fit.exponent)
+        # values at the floor are not above it, so none is kept
+        floor = asym.NOISE_FLOOR
+        fit = asym.fit_decay_exponent([8, 16, 32], [floor, -floor, floor])
         assert fit.saturated and math.isinf(fit.exponent)
 
     def test_envelope_ignores_zero_crossings(self):

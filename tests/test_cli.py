@@ -279,6 +279,16 @@ class TestSimulate:
         cli.main(["simulate", "--config", str(path)])
         assert out.read_bytes() == first
 
+    def test_spacing_is_ignored(self, tmp_path):
+        # params.spacing is no longer read: the rows are those without it
+        plain = tmp_path / "plain.csv"
+        cli.main(["simulate", "--config", str(write_config(tmp_path, "a.json", base_simulate(plain)))])
+        spaced = base_simulate(tmp_path / "spaced.csv")
+        spaced["params"]["spacing"] = 2.5
+        path = write_config(tmp_path, "b.json", spaced)
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert (tmp_path / "spaced.csv").read_bytes() == plain.read_bytes()
+
     def test_closed_form_simulate(self, tmp_path):
         out = tmp_path / "alpha.csv"
         cfg = base_simulate(out)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chainwave import model, reports, solver
+from chainwave import reports, solver
 
 
 def joined(row) -> str:
@@ -57,7 +57,7 @@ def old_rows(grid):
 
 @pytest.mark.parametrize("times, sites, values", AWKWARD_GRIDS)
 def test_grid_csv_matches_per_value_formatting(tmp_path, times, sites, values):
-    grid = solver.SolutionGrid(model.ChainParams(1.0, 1.0), times, sites, values)
+    grid = solver.SolutionGrid(times, sites, values)
     expected = "\n".join(["t,k,q"] + [joined(row) for row in old_rows(grid)]) + "\n"
     reports.write_csv(tmp_path / "slices.csv", ["t", "k", "q"], grid.rows())
     # a plain generator over the same rows takes the row-at-a-time path
@@ -77,7 +77,7 @@ def test_grid_rows_of_any_time_type(tmp_path):
 
 @pytest.mark.parametrize("times, sites, values", AWKWARD_GRIDS)
 def test_grid_rows_iterate_twice_as_before(times, sites, values):
-    grid = solver.SolutionGrid(model.ChainParams(0.0, 1.0), times, sites, values)
+    grid = solver.SolutionGrid(times, sites, values)
     rows = grid.rows()
     first = list(rows)
     assert first == list(rows) == list(old_rows(grid))
@@ -85,9 +85,7 @@ def test_grid_rows_iterate_twice_as_before(times, sites, values):
 
 
 def test_grid_rows_are_python_floats():
-    grid = solver.SolutionGrid(
-        model.ChainParams(0.0, 1.0), (0.0, 1.5), (-1, 2), np.array([[0.1, -0.0], [1e-20, 3.0]])
-    )
+    grid = solver.SolutionGrid((0.0, 1.5), (-1, 2), np.array([[0.1, -0.0], [1e-20, 3.0]]))
     rows = list(grid.rows())
     assert rows == [(0.0, -1, 0.1), (0.0, 2, -0.0), (1.5, -1, 1e-20), (1.5, 2, 3.0)]
     assert all(type(q) is float for _, _, q in rows)

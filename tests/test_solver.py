@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainwave import bounds, model, quadrature, solver
+from chainwave import bounds, model, quadrature, reports, solver
 from chainwave.quadrature import ConvergenceError
 
 mp.mp.dps = 30
@@ -760,7 +760,7 @@ class TestSolveGrid:
     def test_csv_round_trip(self, tmp_path):
         grid = solver.solve_grid(spike(), UNPINNED, [0.0, 1.0], [-1, 0, 1], TIGHT)
         out = tmp_path / "grid.csv"
-        grid.to_csv(out)
+        reports.write_csv(out, ["t", "k", "q"], grid.rows())
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,k,q"
         assert len(lines) == 1 + 2 * 3
