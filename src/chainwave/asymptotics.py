@@ -87,9 +87,14 @@ def _phase_derivative(lam: float, beta: float, params: ChainParams) -> float:
 def ray_geometry(beta: float, params: ChainParams) -> RayGeometry:
     """Critical points and amplitudes for a supersonic ray.
 
+    Each point is ``mu = -2 asin(sqrt((1 - cos mu)/2))``, with ``1 - cos mu``
+    formed without cancellation, so a small omega0 keeps the plus point's
+    digits where ``acos`` of its cosine, within ~omega0^2 of 1, would not.
     At omega0 = 0 the plus point sits on the kink of omega at lam = 0
     (cos mu = 1, omega(mu) = 0) and is left out: only the minus point
-    radiates, and the kink gives ``ray_asymptote``'s plateau.
+    radiates, and the kink gives ``ray_asymptote``'s plateau.  A pinned
+    chain keeps it however small omega0 is; ``ray_asymptote`` refuses the
+    sites where it is too close to the kink.
     """
     if classify_ray(beta, params) != "supersonic":
         raise ValueError(f"ray beta={beta} is not supersonic for {params}")
@@ -97,10 +102,16 @@ def ray_geometry(beta: float, params: ChainParams) -> RayGeometry:
     delta = math.sqrt((b2w2 - 1.0) ** 2 - (beta * params.omega0) ** 2)
     points = []
     for branch in (+1, -1):
-        x = (1.0 + branch * delta) / b2w2
-        if x >= 1.0 - 1e-14:
+        if branch > 0 and not params.pinned:
             continue
-        mu = -math.acos(x)
+        # gap = 1 - cos mu = (b2w2 - 1 - branch Delta)/b2w2; on the plus
+        # branch (b2w2 - 1 - Delta)(b2w2 - 1 + Delta) = (beta omega0)^2
+        # spares it the cancellation of a small omega0
+        if branch > 0:
+            gap = (beta * params.omega0) ** 2 / (b2w2 * (b2w2 - 1.0 + delta))
+        else:
+            gap = (b2w2 - 1.0 + delta) / b2w2
+        mu = -2.0 * math.asin(math.sqrt(0.5 * gap))
         residual = _phase_derivative(mu, beta, params)
         if abs(residual) > PHASE_RESIDUAL_TOL:
             raise ArithmeticError(
@@ -127,12 +138,27 @@ def ray_asymptote(
     s mu is the conjugate of that at -s mu, since real coefficients give
     Q(s mu) = conj Q(-s mu) and likewise P, so each point is twice a real
     part and Q, P are evaluated once per point.
+
+    A point's term holds only where its stationary window
+    1/sqrt(|k h''(mu)|) is narrower than its distance |mu| to the kink of
+    omega at lam = 0.  A pinned chain with a small omega0 has its plus
+    point within ~omega0/omega1 of the kink, and there the kink's own
+    Klein-Gordon term P(0)/(2 omega1) J0(|k| omega0 sqrt(beta^2 -
+    1/omega1^2)) takes over: for a unit kick at omega0 = 1e-4, beta = 3
+    the plus point's term gives 3.0 at k = 32 against an exact 0.52.  Such
+    sites raise ValueError.
     """
     if k == 0:
         raise ValueError("ray_asymptote requires k != 0")
     s = 1.0 if k > 0 else -1.0
     total = 0.0
     for point in geo.points:
+        if abs(k) * abs(point.h2) * point.mu**2 < 1.0:
+            raise ValueError(
+                f"|k| = {abs(k)} puts the branch {point.branch:+d} point's stationary "
+                f"window over the lam = 0 kink; its term needs "
+                f"|k| >= {1.0 / (abs(point.h2) * point.mu**2):.4g}"
+            )
         w = point.phase(abs(k))
         rot = complex(math.cos(w), math.sin(w))
         q_wave = spectrum.Q(-s * point.mu) * rot

@@ -11,9 +11,9 @@ below the validity horizon.
 Velocity Verlet runs in its summed form, where consecutive half kicks
 merge (Hairer, Lubich & Wanner, Acta Numerica 12, 2003); see
 :func:`integrate_snapshots`.  The summed step is linear and
-shift-invariant, so most steps go in blocks of BLOCK_STEPS: four
-convolutions with stencils that the step loop itself builds from unit
-impulses, the clamped ends taken as odd reflections.
+shift-invariant, so a segment of S steps goes in about log2 S blocks of
+2^j steps, each four convolutions with stencils from squaring the
+one-step map, the clamped ends taken as odd reflections.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ MAX_STEP_FREQUENCY = 0.5
 #: most steps one pass may take, counted as t_final / dt; a pass of
 #: criterion 1's companion takes about 2e5
 MAX_PASS_STEPS = 1 << 24
-
-#: summed-form steps per stencil block of :func:`integrate_snapshots`
-BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -119,21 +116,22 @@ def integrate_snapshots(
         q += drift;  drift += dt^2 (omega1^2 (q_{k-1} + q_{k+1}) - (2 omega1^2 + omega0^2) q_k)
 
     A half kick opens each constant-step segment (``drift = dt p + dt^2 a/2``)
-    and one closes it (``p = (drift - dt^2 a/2) / dt``, with the last
-    step's acceleration), so snapshots carry ``p`` at their time.  The
-    q buffer has one zero ghost site beyond each end: the clamped boundary.
-    A span shorter than the smallest normal double is not stepped: its
-    snapshot is the state at the previous time, which differs by less
-    than the span times ``|p|``, and the next segment starts from there.
+    and one closes it (``p = (drift - dt^2 a/2) / dt``, with the acceleration
+    of the final q), so snapshots carry ``p`` at their time.  The q buffer
+    has one zero ghost site beyond each end: the clamped boundary.  A span
+    shorter than the smallest normal double is not stepped: its snapshot
+    is the state at the previous time, which differs by less than the span
+    times ``|p|``, and the next segment starts from there.
 
-    Between the half kicks a segment of ``steps`` steps runs
-    ``(steps - 1) // K`` blocks of K = min(BLOCK_STEPS, sites) steps, then
-    the remaining 1..K one step at a time.  The step is linear and
-    shift-invariant, so a block is four convolutions with stencils built
-    once per step size in the call (see :func:`_block_stencils`), the
-    clamped ends taken as odd reflections about the ghost sites (see
-    :func:`_advance_block`).  The remaining steps leave the last step's
-    acceleration for the closing half kick.
+    Between the half kicks a segment of S steps runs in stencil blocks of
+    2^j steps.  The step is linear and shift-invariant, so a block is four
+    convolutions, its stencils level j of a ladder built by squaring the
+    one-step map once per step size in the call (see :func:`_doubled`),
+    the clamped ends taken as odd reflections about the ghost sites (see
+    :func:`_advance`).  The ladder's top level is the highest with
+    ``2^top <= S`` whose stencils one reflection still serves; the
+    segment takes ``S >> top`` blocks of that level, then one block for
+    each set bit of the remainder below it.
     """
     times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times) or any(
@@ -143,21 +141,18 @@ def integrate_snapshots(
     _check_preconditions(state, params, max(times, default=0.0), cfg)
 
     n = 2 * cfg.radius + 1
-    block = min(BLOCK_STEPS, n)
     ghosted = np.zeros(n + 2)
     q = ghosted[1:-1]
-    left, right = ghosted[:-2], ghosted[2:]
     p = np.zeros_like(q)
     lo = state.support_min + cfg.radius
     q[lo : lo + len(state.q)] = state.q
     p[lo : lo + len(state.p)] = state.p
     drift = np.empty_like(q)
-    kick = np.empty_like(q)
-    scratch = np.empty_like(q)
+    half = np.empty_like(q)
 
     w1sq = params.omega1**2
     diag = 2.0 * w1sq + params.omega0**2
-    stencils: dict[float, np.ndarray] = {}
+    ladders: dict[float, list[np.ndarray]] = {}
     snapshots: list[LatticeState] = []
     t_now = 0.0
     for t in times:
@@ -168,85 +163,104 @@ def integrate_snapshots(
             dt = span / steps
             c1 = dt * dt * w1sq
             c0 = dt * dt * diag
+            if dt not in ladders:
+                ladders[dt] = [_one_step(c1, c0)]
+            ladder = ladders[dt]
+            while 2 ** len(ladder) <= steps:
+                level = _doubled(ladder[-1])
+                # one odd reflection serves stencils reaching W <= sites + 1
+                if len(level[0]) // 2 - 1 > n:
+                    break
+                ladder.append(level)
+            top = min(len(ladder), steps.bit_length()) - 1
             # opening half kick
-            np.add(left, right, out=kick)
-            kick *= 0.5 * c1
-            np.multiply(q, 0.5 * c0, out=scratch)
-            kick -= scratch
+            _half_kick(ghosted, c1, c0, half)
             np.multiply(p, dt, out=drift)
-            drift += kick
-            blocks, rest = divmod(steps - 1, block)
-            if blocks and dt not in stencils:
-                stencils[dt] = _block_stencils(block, c1, c0)
-            for _ in range(blocks):
-                _advance_block(q, drift, stencils[dt])
-            _verlet_steps(ghosted, drift, kick, scratch, rest + 1, c1, c0)
+            drift += half
+            for _ in range(steps >> top):
+                _advance(q, drift, ladder[top])
+            for j in range(top):
+                if steps >> j & 1:
+                    _advance(q, drift, ladder[j])
             # closing half kick
-            kick *= 0.5
-            np.subtract(drift, kick, out=p)
+            _half_kick(ghosted, c1, c0, half)
+            np.subtract(drift, half, out=p)
             p /= dt
             t_now = t
         snapshots.append(LatticeState(support_min=-cfg.radius, q=q, p=p))
     return snapshots
 
 
-def _verlet_steps(ghosted, drift, kick, scratch, steps: int, c1: float, c0: float) -> None:
-    """Advance ``steps`` summed-form steps in place, six ufunc calls each.
+def _half_kick(ghosted, c1: float, c0: float, out) -> None:
+    """``out = dt^2 a / 2`` of the q held between the zero ghosts of ``ghosted``."""
+    np.add(ghosted[:-2], ghosted[2:], out=out)
+    out *= 0.5 * c1
+    out -= 0.5 * c0 * ghosted[1:-1]
 
-    ``ghosted`` holds q with one zero ghost site beyond each end; ``kick``
-    ends holding the last step's ``dt^2 a``, which the closing half kick uses.
+
+def _one_step(c1: float, c0: float) -> np.ndarray:
+    """Level 0 of the ladder: one summed-form step on the unbounded chain.
+
+    The step maps ``(q, drift)`` to ``(a * q + b * drift, c * q + e * drift)``,
+    ``*`` being convolution: ``q' = q + drift`` and ``drift' = drift + L q'``
+    with ``L = [c1, -c0, c1]``, so ``a = b = delta``, ``c = L`` and
+    ``e = delta + L``.  The ladder holds the increments ``(a - delta, b, c,
+    e - delta)``, here ``(0, delta, L, L)``: storing ``e`` itself would
+    round away the low bits of its O(dt^2) entries next to the unit centre.
     """
-    q, left, right = ghosted[1:-1], ghosted[:-2], ghosted[2:]
-    for _ in range(steps):
-        q += drift
-        np.add(left, right, out=kick)
-        kick *= c1
-        np.multiply(q, c0, out=scratch)
-        kick -= scratch
-        drift += kick
+    L = np.array([c1, -c0, c1])
+    delta = np.array([0.0, 1.0, 0.0])
+    return np.array([np.zeros(3), delta, L, L])
 
 
-def _block_stencils(steps: int, c1: float, c0: float) -> np.ndarray:
-    """Stencils ``(a, b, c, e)`` of ``steps`` summed-form steps on the unbounded chain.
+def _doubled(level: np.ndarray) -> np.ndarray:
+    """The ladder level after ``level``: its map composed with itself.
 
-    Those steps map ``(q, drift)`` to ``(a * q + b * drift, c * q + e * drift)``,
-    ``*`` being convolution.  They are the step loop's own response to a
-    unit q and a unit drift at the centre of ``2 steps + 1`` sites: in
-    ``steps`` steps nothing moves further than ``steps`` sites, so the
-    clamped ends are never felt.  Far from the centre the entries fall off
+    With ``a = delta + A`` and ``e = delta + E`` the square of the map
+    ``[[a, b], [c, e]]`` has the increments
+
+        A' = 2A + A*A + b*c,  b' = 2b + b*(A + E),
+        c' = 2c + c*(A + E),  E' = 2E + E*E + b*c,
+
+    the convolutions commuting.  Far from the centre the entries fall off
     factorially; the outer sites where all four are below eps^2 of their
     largest are cut off.  Each term so dropped is below eps^2 times the
     largest entry times its datum, far below the rounding of one step, and
     the convolutions are spared both its work and its subnormal products.
     At least one site a side is kept.
     """
-    ghosted = np.zeros((2 * steps + 3, 2))
-    drift = np.zeros((2 * steps + 1, 2))
-    ghosted[steps + 1, 0] = drift[steps, 1] = 1.0
-    _verlet_steps(ghosted, drift, np.empty_like(drift), np.empty_like(drift), steps, c1, c0)
-    stencils = np.vstack((ghosted[1:-1].T, drift.T))
-    size = np.abs(stencils)
+    A, b, c, E = level
+    r = len(A) // 2
+    bc = np.convolve(b, c)
+    AE = A + E
+    out = np.array([
+        np.convolve(A, A) + bc,
+        np.convolve(b, AE),
+        np.convolve(c, AE),
+        np.convolve(E, E) + bc,
+    ])
+    out[:, r : 3 * r + 1] += 2.0 * level
+    size = np.abs(out)
     felt = np.any(size >= np.finfo(float).eps ** 2 * size.max(axis=1, keepdims=True), axis=0)
-    reach = max(1, steps - int(np.argmax(felt)))
-    return stencils[:, steps - reach : steps + reach + 1]
+    reach = max(1, 2 * r - int(np.argmax(felt)))
+    return out[:, 2 * r - reach : 2 * r + reach + 1]
 
 
-def _advance_block(q, drift, stencils) -> None:
-    """Advance ``(q, drift)`` in place by one block of stencils.
+def _advance(q, drift, stencils) -> None:
+    """Advance ``(q, drift)`` in place by one ladder block.
 
     The clamped chain is the unbounded chain whose data are odd about each
     zero ghost site (the stencils are symmetric, so oddness and the zero
-    ghosts persist).  Stencils that reach W <= K sites need the data
-    extended by their zero ghosts and W - 1 reflected sites beyond each; one
-    reflection suffices while W - 1 <= sites, which K = min(BLOCK_STEPS,
-    sites) ensures.
+    ghosts persist).  Stencils that reach W sites need the data extended
+    by their zero ghosts and W - 1 reflected sites beyond each; one
+    reflection suffices while W - 1 <= sites, which the ladder's top ensures.
     """
-    a, b, c, e = stencils
-    reflected = len(a) // 2 - 1
+    A, b, c, E = stencils
+    reflected = len(A) // 2 - 1
     xq = _odd_extension(q, reflected)
     xd = _odd_extension(drift, reflected)
-    q[:] = np.convolve(xq, a, "valid") + np.convolve(xd, b, "valid")
-    drift[:] = np.convolve(xq, c, "valid") + np.convolve(xd, e, "valid")
+    q += np.convolve(xq, A, "valid") + np.convolve(xd, b, "valid")
+    drift += np.convolve(xq, c, "valid") + np.convolve(xd, E, "valid")
 
 
 def _odd_extension(x, m: int):

@@ -453,8 +453,13 @@ def solve_grid(
         if not isinstance(sites, Collection):
             sites = list(sites)
         if len(sites):
-            # int() keeps the order of the sites, so the widest is an extreme
-            widest = max(abs(int(min(sites))), abs(int(max(sites))))
+            # int() keeps the order of the sites, so the widest is an extreme;
+            # a range yields its ends without a Python pass
+            if isinstance(sites, range):
+                ends = (sites[0], sites[-1])
+            else:
+                ends = (min(sites), max(sites))
+            widest = max(abs(int(end)) for end in ends)
             for t in times:
                 if not _descent_holds(params, t, widest):
                     _lattice_cut(spectrum.power_sum, params, t, widest, cfg)

@@ -96,6 +96,24 @@ class TestRayGeometry:
         with pytest.raises(ValueError, match="not supersonic"):
             asym.ray_geometry(1.0, PINNED)
 
+    @pytest.mark.parametrize("omega0", [1e-9, 1e-6, 1e-4, 1e-3])
+    def test_small_pinning(self, omega0):
+        # cos mu of the plus point lies within ~omega0^2 of 1, where acos
+        # of it raised ArithmeticError (residuals -8.3e-4, -3.7e-8, 1.7e-10
+        # at 1e-6, 1e-4, 1e-3) or dropped the point (1e-9)
+        params = model.ChainParams(omega0, 1.0)
+        geo = asym.ray_geometry(3.0, params)
+        assert [point.branch for point in geo.points] == [+1, -1]
+        with mp.workdps(50):
+            b2w2 = mp.mpf(9)
+            delta = mp.sqrt((b2w2 - 1) ** 2 - (3 * mp.mpf(omega0)) ** 2)
+            for point in geo.points:
+                assert abs(asym._phase_derivative(point.mu, 3.0, params)) <= (
+                    asym.PHASE_RESIDUAL_TOL
+                )
+                exact = -mp.acos((1 + point.branch * delta) / b2w2)
+                assert point.mu == pytest.approx(float(exact), rel=1e-15)
+
 
 class TestRayAsymptote:
     def test_zero_spectrum(self):
@@ -150,12 +168,12 @@ class TestRayAsymptote:
     #: (beta, omega0, omega1), at k = 128, -256, 500 and 2000 for the
     #: asymmetric state below: the pinned point sum is pinned bit for bit
     PINNED_HEX = {
-        (2.0, 0.5, 1.0): ("-0x1.19351d4601030p-4", "-0x1.586c5255e071fp-6",
-                          "0x1.05e1e23501dc4p-6", "0x1.717761df7cd57p-9"),
-        (3.0, 1.0, 1.0): ("-0x1.3887abbe250bcp-5", "0x1.2c1b759ca55e7p-6",
-                          "0x1.0e37dfb7a78ecp-5", "-0x1.8666468b3dcbep-15"),
-        (8.0, 1.0, 0.5): ("-0x1.10ac6200e84e9p-7", "-0x1.296d1ff09d400p-12",
-                          "0x1.8b0cd0dd0b53ep-6", "0x1.143dc2b6ae4d3p-10"),
+        (2.0, 0.5, 1.0): ("-0x1.19351d4601031p-4", "-0x1.586c5255e0722p-6",
+                          "0x1.05e1e23501dc7p-6", "0x1.717761df7cd5dp-9"),
+        (3.0, 1.0, 1.0): ("-0x1.3887abbe25045p-5", "0x1.2c1b759ca53e5p-6",
+                          "0x1.0e37dfb7a7a0cp-5", "-0x1.8666468a33643p-15"),
+        (8.0, 1.0, 0.5): ("-0x1.10ac6200e7210p-7", "-0x1.296d1ff0573e0p-12",
+                          "0x1.8b0cd0dd0a1d7p-6", "0x1.143dc2b6a52fdp-10"),
     }
 
     @pytest.mark.parametrize("beta, omega0, omega1", sorted(PINNED_HEX))
@@ -209,6 +227,34 @@ class TestRayAsymptote:
         geo = asym.ray_geometry(3.0, PINNED)
         with pytest.raises(ValueError):
             asym.ray_asymptote(spike(), geo, 0, PINNED)
+
+    @pytest.mark.parametrize("omega0", [1e-9, 1e-4])
+    def test_refuses_the_kink_window(self, omega0):
+        # the plus point lies within ~omega0 of the lam = 0 kink; for
+        # |k| < 1/(h'' mu^2) its term is wrong (3.0 against an exact 0.52 at
+        # omega0 = 1e-4, k = 32), and the kink's Klein-Gordon term
+        # P(0)/(2 omega1) J0(z), z = |k| omega0 sqrt(beta^2 - 1), beside the
+        # minus point's term, is what the exact solution follows
+        params = model.ChainParams(omega0, 1.0)
+        geo = asym.ray_geometry(3.0, params)
+        minus = asym.RayGeometry(geo.beta, geo.delta, geo.points[1:])
+        spectrum = spike(q=0.0, p=1.0)
+        for k in (32, 128, 512, -512):
+            with pytest.raises(ValueError, match="lam = 0 kink"):
+                asym.ray_asymptote(spectrum, geo, k, params)
+            exact = solver.solve_at(spectrum, params, 3.0 * abs(k), k)
+            z = abs(k) * omega0 * math.sqrt(8.0)
+            kink = 0.5 * specfun.bessel_j(0, z)
+            minus_term = asym.ray_asymptote(spectrum, minus, k, params)
+            assert exact == pytest.approx(minus_term + kink, abs=1e-4)
+
+    @pytest.mark.parametrize("omega0, k", [(1e-3, 8192), (1e-2, 512), (1e-2, 2048)])
+    def test_small_pinning_past_the_kink_window(self, omega0, k):
+        params = model.ChainParams(omega0, 1.0)
+        geo = asym.ray_geometry(3.0, params)
+        spectrum = spike(q=0.0, p=1.0)
+        exact = solver.solve_at(spectrum, params, 3.0 * k, k)
+        assert asym.ray_asymptote(spectrum, geo, k, params) == pytest.approx(exact, abs=1e-3)
 
     def test_supersonic_envelope_shrinks(self):
         # scaled residual sqrt(k) |exact - predicted|: octave maxima decay

@@ -498,6 +498,23 @@ class TestAsymptotics:
             assert float(r[3]) == exact
             assert exact != pytest.approx(solver.solve_at(spectrum, params, t, -k), abs=1e-6)
 
+    def test_ray_regime_refuses_the_kink_window(self, tmp_path, capsys):
+        # at omega0 = 1e-4 the plus point's term needs |k| >= ~3.2e4
+        out = tmp_path / "a.csv"
+        cfg = base_simulate(out)
+        cfg.update(
+            command="asymptotics",
+            params={"omega0": 1e-4, "omega1": 1.0},
+            initial_data={"state": {"support_min": 0, "q": [0.0], "p": [1.0]}},
+            regime="ray",
+            beta=3.0,
+            k_grid=[32, 128, 512],
+        )
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["asymptotics", "--config", str(path)]) == 2
+        assert "lam = 0 kink" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpecfunSelftest:
     def test_battery_passes(self, tmp_path):

@@ -34,6 +34,24 @@ def criterion_01_states():
     ]
 
 
+def acceleration(q, params):
+    """Textbook acceleration of q, zero ghost sites beyond both ends."""
+    padded = np.concatenate(([0.0], q, [0.0]))
+    lap = padded[2:] - 2.0 * q + padded[:-2]
+    return params.omega1**2 * lap - params.omega0**2 * q
+
+
+def textbook_steps(q, p, params, dt, steps):
+    """``steps`` textbook velocity-Verlet steps of dt, clamped ends."""
+    a = acceleration(q, params)
+    for _ in range(steps):
+        q = q + dt * p + 0.5 * dt * dt * a
+        a_next = acceleration(q, params)
+        p = p + 0.5 * dt * (a + a_next)
+        a = a_next
+    return q, p
+
+
 def reference_snapshots(state, params, times, cfg):
     """Textbook velocity Verlet, with the oracle's segment rule and clamped ends."""
     q = np.zeros(2 * cfg.radius + 1)
@@ -42,21 +60,11 @@ def reference_snapshots(state, params, times, cfg):
     q[lo : lo + len(state.q)] = state.q
     p[lo : lo + len(state.p)] = state.p
 
-    def acceleration(q):
-        padded = np.concatenate(([0.0], q, [0.0]))
-        lap = padded[2:] - 2.0 * q + padded[:-2]
-        return params.omega1**2 * lap - params.omega0**2 * q
-
-    out, a, t_now = [], acceleration(q), 0.0
+    out, t_now = [], 0.0
     for t in times:
         if t > t_now:
             steps = max(1, int(round((t - t_now) / cfg.dt)))
-            dt = (t - t_now) / steps
-            for _ in range(steps):
-                q = q + dt * p + 0.5 * dt * dt * a
-                a_next = acceleration(q)
-                p = p + 0.5 * dt * (a + a_next)
-                a = a_next
+            q, p = textbook_steps(q, p, params, (t - t_now) / steps, steps)
             t_now = t
         out.append((q, p))
     return out
@@ -134,7 +142,7 @@ class TestSummedForm:
 
 
 class TestBlocks:
-    """Blocks of K = min(BLOCK_STEPS, sites) steps against the textbook loop."""
+    """Segments in ladder blocks of 2^j steps against the textbook loop."""
 
     PARAMS = model.ChainParams(1.0, 1.0)
 
@@ -143,14 +151,7 @@ class TestBlocks:
         # data on every site, the outermost ones next to the zero ghosts included
         return random_state(40 + radius, n=2 * radius + 1, support_min=-radius)
 
-    @pytest.mark.parametrize("step", [0.1, oracle.MAX_STEP_FREQUENCY])
-    @pytest.mark.parametrize("radius", [1, 2, 40])
-    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (5, 3)])
-    def test_step_counts(self, step, radius, blocks, extra):
-        # 1, K - 1, K, K + 1, 2K + 1 and 5K + 3 steps; radius 1 and 2 give
-        # lattices of 3 and 5 sites, shorter than BLOCK_STEPS; at the
-        # stability limit the stencils keep nearly all of their 2K + 1 sites
-        steps = blocks * min(oracle.BLOCK_STEPS, 2 * radius + 1) + extra
+    def run_steps(self, steps, radius, step):
         cfg = oracle.OracleConfig(radius=radius, dt=step / self.PARAMS.omega0_prime)
         times = [steps * cfg.dt]
         assert round(times[0] / cfg.dt) == steps
@@ -158,16 +159,33 @@ class TestBlocks:
         snaps = oracle.integrate_snapshots(state, self.PARAMS, times, cfg)
         assert_matches_reference(state, self.PARAMS, times, cfg, snaps)
 
+    @pytest.mark.parametrize("step", [0.1, oracle.MAX_STEP_FREQUENCY])
+    @pytest.mark.parametrize("radius", [1, 2, 40])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (5, 3)])
+    def test_step_counts(self, step, radius, blocks, extra):
+        # 1, K - 1, K, K + 1, 2K + 1 and 5K + 3 steps for K = min(32, sites):
+        # counts whose set bits call for several ladder levels at once;
+        # radius 1 and 2 give lattices of 3 and 5 sites, where reach stops
+        # the ladder early; at the stability limit the stencils keep nearly
+        # all of their sites
+        self.run_steps(blocks * min(32, 2 * radius + 1) + extra, radius, step)
+
+    @pytest.mark.parametrize("step", [0.1, oracle.MAX_STEP_FREQUENCY])
+    @pytest.mark.parametrize("radius", [1, 2, 40])
+    @pytest.mark.parametrize("top", [3, 6])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_around_the_top(self, step, radius, top, offset):
+        # 2^j - 1 steps take every level below j once, 2^j one block of
+        # level j and 2^j + 1 that block and one step
+        self.run_steps(2**top + offset, radius, step)
+
     @pytest.mark.parametrize("radius", [1, 2, 40])
     def test_segments_with_different_steps(self, radius):
-        # segments of 2K + 1, 5K + 3, K + 1 and 2K + 1 steps, each span off a
-        # multiple of dt by a different fraction of a step, so each segment
-        # runs at its own step size; a repeated time records without stepping
-        block = min(oracle.BLOCK_STEPS, 2 * radius + 1)
+        # segments of 65, 163, 33 and 65 steps, each span off a multiple of
+        # dt by a different fraction of a step, so each segment runs at its
+        # own step size; a repeated time records without stepping
         cfg = oracle.OracleConfig(radius=radius, dt=0.05)
-        segments = [
-            (2 * block + 1, 0.0), (5 * block + 3, 0.4), (block + 1, -0.3), (2 * block + 1, 0.2)
-        ]
+        segments = [(65, 0.0), (163, 0.4), (33, -0.3), (65, 0.2)]
         times = [0.0]
         for steps, fraction in segments:
             times.append(times[-1] + (steps + fraction) * cfg.dt)
@@ -175,6 +193,60 @@ class TestBlocks:
         state = self.edge_state(radius)
         snaps = oracle.integrate_snapshots(state, self.PARAMS, times, cfg)
         assert_matches_reference(state, self.PARAMS, times, cfg, snaps)
+
+    @pytest.mark.parametrize("radius", [1, 2, 40])
+    def test_long_segments(self, radius):
+        # about 5,000 steps a segment, each at its own step size, the
+        # second segment the same as the first, so it reuses its ladder
+        cfg = oracle.OracleConfig(radius=radius, dt=0.1 / self.PARAMS.omega0_prime)
+        spans = [(5000, 0.0), (5000, 0.0), (4999, 0.3), (5003, -0.45)]
+        times = [0.0]
+        for steps, fraction in spans:
+            times.append(times[-1] + (steps + fraction) * cfg.dt)
+        state = self.edge_state(radius)
+        snaps = oracle.integrate_snapshots(state, self.PARAMS, times, cfg)
+        assert_matches_reference(state, self.PARAMS, times, cfg, snaps)
+
+    def test_criterion_01_chain_to_t_25(self):
+        params = model.ChainParams(*CRITERION_01_CHAINS[0])
+        cfg = oracle.OracleConfig(
+            radius=oracle.required_radius(20, 25.0, params), dt=1e-3 / params.omega0_prime
+        )
+        state = criterion_01_states()[0]
+        times = [1.0, 5.0, 25.0]
+        assert_matches_reference(
+            state, params, times, cfg, oracle.integrate_snapshots(state, params, times, cfg)
+        )
+
+    @pytest.mark.parametrize("step", [0.1, oracle.MAX_STEP_FREQUENCY])
+    def test_level_is_the_impulse_response(self, step):
+        # level j maps (q, drift) as 2^j steps of the textbook loop do on
+        # the unbounded chain, drift = dt p + dt^2 a/2 being the half kick
+        dt = step / self.PARAMS.omega0_prime
+        c1 = dt * dt * self.PARAMS.omega1**2
+        c0 = dt * dt * (2.0 * self.PARAMS.omega1**2 + self.PARAMS.omega0**2)
+        level = oracle._one_step(c1, c0)
+        for j in range(8):
+            if j:
+                level = oracle._doubled(level)
+            steps = 2**j
+            # nothing moves further than `steps` sites in `steps` steps, so
+            # the clamped ends of 2 steps + 1 sites are never felt
+            unit = np.zeros(2 * steps + 1)
+            unit[steps] = 1.0
+            responses = []
+            for q, drift in ((unit, np.zeros_like(unit)), (np.zeros_like(unit), unit)):
+                half_kick = 0.5 * dt * dt * acceleration(q, self.PARAMS)
+                q, p = textbook_steps(q, (drift - half_kick) / dt, self.PARAMS, dt, steps)
+                responses.append((q, dt * p + 0.5 * dt * dt * acceleration(q, self.PARAMS)))
+            (a, c), (b, e) = responses
+            # the ladder holds the increments, its trimmed ends taken as zero;
+            # the textbook's a - 1 and e - 1 keep only ulps of 1 at the centre
+            reach = len(level[0]) // 2
+            for got, want in zip(level, (a - unit, b, c, e - unit), strict=True):
+                full = np.zeros_like(want)
+                full[steps - reach : steps + reach + 1] = got
+                assert np.max(np.abs(full - want)) <= 1e-12 * np.max(np.abs(want)) + 1e-15
 
 
 @settings(max_examples=25, deadline=None)

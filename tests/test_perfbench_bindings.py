@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chainwave import bounds, model, quadrature, solver
+from chainwave import bounds, model, oracle, quadrature, solver
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,6 +76,41 @@ def test_mesh_eval_takes_spectrum_params_t_n_first():
         "t",
         "n",
     ]
+
+
+def test_oracle_steps_follow_the_segment_rule(monkeypatch):
+    # the tracer counts oracle.steps, and from them site_steps_per_s, by
+    # the oracle's segment rule; the oracle runs exactly that many steps,
+    # each ladder level carrying 2^j of them
+    one_step, doubled, advance = oracle._one_step, oracle._doubled, oracle._advance
+    steps_of, taken = {}, []
+
+    def one_step_counted(c1, c0):
+        level = one_step(c1, c0)
+        steps_of[id(level)] = 1
+        return level
+
+    def doubled_counted(level):
+        square = doubled(level)
+        steps_of[id(square)] = 2 * steps_of[id(level)]
+        return square
+
+    def advance_counted(q, drift, stencils):
+        taken.append(steps_of[id(stencils)])
+        advance(q, drift, stencils)
+
+    monkeypatch.setattr(oracle, "_one_step", one_step_counted)
+    monkeypatch.setattr(oracle, "_doubled", doubled_counted)
+    monkeypatch.setattr(oracle, "_advance", advance_counted)
+    # t = 0 and repeats record without stepping; 0.3, 0.7, 0.37 and 0.63
+    # round to 23, 54, 28 and 48 steps of 0.013
+    times = [0.0, 0.0, 0.3, 0.3, 1.0, 1.37, 2.0, 2.0]
+    cfg = oracle.OracleConfig(radius=20, dt=0.013)
+    state = model.LatticeState.single_site(0, q=1.0)
+    oracle.integrate_snapshots(state, model.ChainParams(1.0, 1.0), times, cfg)
+    tracing = _load("tracing")
+    assert tracing._oracle_steps((state, None, times, cfg), {}) == (sum(taken), 41)
+    assert sum(taken) == 23 + 54 + 28 + 48
 
 
 @pytest.mark.parametrize("name", ["grid-sweep", "slow-growth", "oracle-compare", "ray-pointwise"])

@@ -1,5 +1,6 @@
 """Spectral solver: kernels, pointwise and grid solves, closed-form routes."""
 
+import builtins
 import math
 import re
 import tracemalloc
@@ -379,6 +380,26 @@ class TestMeshCap:
         # sites given once, as an iterator, are read twice all the same
         with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
             solver.solve_grid(bounds.alpha_spectrum(0.25), UNPINNED, [1e6], iter([0, 5000]), cfg)
+
+    def test_solve_grid_reads_extremes_without_a_pass(self, monkeypatch):
+        # a range knows its ends: the refusal takes no Python-level pass
+        # over the 4.4 million sites
+        sites = range(-2_200_000, 2_200_001)
+
+        def guard(builtin):
+            def guarded(*args, **kwargs):
+                if any(isinstance(arg, range) for arg in args):
+                    raise AssertionError("the sites were walked in Python")
+                return builtin(*args, **kwargs)
+
+            return guarded
+
+        for name in ("min", "max", "set", "sorted", "list"):
+            monkeypatch.setattr(solver, name, guard(getattr(builtins, name)), raising=False)
+        cfg = solver.SolverConfig(max_mesh=4096)
+        for given in (sites, sites[::-1]):
+            with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
+                solver.solve_grid(bounds.alpha_spectrum(0.25), UNPINNED, [1e6], given, cfg)
 
 
 def trapezoid_sites(spectrum, params, t, n, sites):
