@@ -16,12 +16,10 @@ from .asymptotics import (
     classify_ray,
     envelope_decay_exponent,
     fit_decay_exponent,
-    fixed_k_asymptote_pinned,
-    fixed_k_asymptote_unpinned,
+    fixed_k_asymptote,
     ray_asymptote,
     ray_discriminant,
     ray_geometry,
-    spatial_decay_exponent,
 )
 from .bounds import (
     EpsilonSpectrum,

@@ -1,12 +1,13 @@
 """Closed-form long-time and ray asymptotics of the chain, plus the
-empirical decay-exponent fits used to verify them.
+empirical decay-exponent fits used to verify them.  The module imports
+no solver, so nothing it predicts comes from what it is checked against.
 
 Three regimes are covered:
 
-* pinned chain, fixed site, t -> infinity: two t^(-1/2) wave trains at
-  the band edges omega0 and omega0' = sqrt(omega0^2 + 4 omega1^2);
-* unpinned chain, fixed site: a constant plateau P(0)/(2 omega1) plus a
-  single t^(-1/2) train at 2 omega1, tied to the Bessel time integral
+* fixed site, t -> infinity: a t^(-1/2) wave train at the band top
+  omega0' = sqrt(omega0^2 + 4 omega1^2), and at the band bottom a second
+  train at omega0 (pinned) or the plateau P(0)/(2 omega1) (unpinned);
+* unpinned chain, unit kick: the Bessel time integral
   int_0^t J_{2k}(2 omega1 s) ds;
 * rays t = beta |k|: classified by gamma(beta) = beta^2 omega1^2 - 1 -
   beta omega0 into supersonic (two stationary points, k^(-1/2) amplitude
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChainParams, SpectralPair, dispersion, require_unpinned
-from .solver import SolverConfig, solve_at
 from .specfun import bessel_j_running_integral
 
 #: |gamma(beta)| below this counts as the critical ray
@@ -170,58 +170,38 @@ def ray_asymptote(
     return value
 
 
-def fixed_k_asymptote_pinned(
+def fixed_k_asymptote(
     spectrum: SpectralPair, params: ChainParams, k: int, t: float
 ) -> float:
-    """Two-band t^(-1/2) asymptote of the pinned chain at a fixed site.
+    """Long-time asymptote of q_k(t) at a fixed site, pinned or not.
 
-    The band edges radiate with phases t omega0 + pi/4 (acoustic, lam = 0)
-    and t omega0' - pi/4 (optical, lam = pi); the internal names avoid the
-    frequency symbols so the coupling constant cannot be shadowed.
+    The band top lam = pi radiates with phase t omega0' - pi/4 and parity
+    (-1)^k; the band bottom lam = 0 with phase t omega0 + pi/4 when pinned,
+    else it leaves the plateau P(0)/(2 omega1).  The internal names avoid
+    the frequency symbols so the coupling constant cannot be shadowed.
     """
-    if params.omega0 <= 0.0:
-        raise ValueError("fixed_k_asymptote_pinned requires omega0 > 0")
     if t <= 0.0:
         raise ValueError("requires t > 0")
-    w0 = params.omega0
     w0p = params.omega0_prime
     w1 = params.omega1
-    q_bottom = spectrum.Q(0.0).real
     p_bottom = spectrum.P(0.0).real
     q_top = spectrum.Q(math.pi).real
     p_top = spectrum.P(math.pi).real
-    c1 = math.sqrt(w0 / (2.0 * math.pi)) / w1 * q_bottom
-    s1 = math.sqrt(w0 / (2.0 * math.pi)) / (w1 * w0) * p_bottom
     c2 = math.sqrt(w0p / (2.0 * math.pi)) / w1 * q_top
     s2 = math.sqrt(w0p / (2.0 * math.pi)) / (w1 * w0p) * p_top
-    phase_acoustic = t * w0 + math.pi / 4.0
     phase_optical = t * w0p - math.pi / 4.0
     parity = -1.0 if k % 2 else 1.0
+    top = parity * (c2 * math.cos(phase_optical) + s2 * math.sin(phase_optical))
+    if not params.pinned:
+        return p_bottom / (2.0 * w1) + top / math.sqrt(t)
+    w0 = params.omega0
+    q_bottom = spectrum.Q(0.0).real
+    c1 = math.sqrt(w0 / (2.0 * math.pi)) / w1 * q_bottom
+    s1 = math.sqrt(w0 / (2.0 * math.pi)) / (w1 * w0) * p_bottom
+    phase_acoustic = t * w0 + math.pi / 4.0
     return (
-        c1 * math.cos(phase_acoustic)
-        + s1 * math.sin(phase_acoustic)
-        + parity * (c2 * math.cos(phase_optical) + s2 * math.sin(phase_optical))
+        c1 * math.cos(phase_acoustic) + s1 * math.sin(phase_acoustic) + top
     ) / math.sqrt(t)
-
-
-def fixed_k_asymptote_unpinned(
-    spectrum: SpectralPair, params: ChainParams, k: int, t: float
-) -> float:
-    """Plateau P(0)/(2 omega1) plus the band-top t^(-1/2) train at 2 omega1."""
-    require_unpinned(params, "fixed_k_asymptote_unpinned")
-    if t <= 0.0:
-        raise ValueError("requires t > 0")
-    w1 = params.omega1
-    p_bottom = spectrum.P(0.0).real
-    q_top = spectrum.Q(math.pi).real
-    p_top = spectrum.P(math.pi).real
-    c = q_top / math.sqrt(math.pi * w1)
-    s = p_top / (2.0 * w1 * math.sqrt(math.pi * w1))
-    phase = 2.0 * w1 * t - math.pi / 4.0
-    parity = -1.0 if k % 2 else 1.0
-    return p_bottom / (2.0 * w1) + parity / math.sqrt(t) * (
-        c * math.cos(phase) + s * math.sin(phase)
-    )
 
 
 def bessel_time_integral(k: int, t: float, params: ChainParams) -> float:
@@ -264,6 +244,8 @@ def fit_decay_exponent(xs, values) -> FitResult:
     vals = np.abs(np.asarray(values, dtype=float))
     if len(xs) != len(vals) or len(xs) < 2:
         raise ValueError("need at least two samples")
+    if not np.all(xs > 0.0):
+        raise ValueError("a log-log fit needs every x > 0")
     keep = vals > NOISE_FLOOR
     lx = np.log(xs[keep])
     ly = np.log(vals[keep])
@@ -302,23 +284,3 @@ def envelope_decay_exponent(xs, values) -> FitResult:
     if len(centers) < 2:
         raise ValueError("not enough samples for an envelope fit")
     return fit_decay_exponent(centers, peaks)
-
-
-def spatial_decay_exponent(
-    spectrum: SpectralPair,
-    params: ChainParams,
-    t_fixed: float,
-    k_list,
-    cfg: SolverConfig | None = None,
-) -> float:
-    """Fitted exponent of |q_k(t_fixed)| against |k|; inf when saturated.
-
-    Saturation (every sample below the 1e-13 noise floor) is the expected
-    outcome for superpolynomially decaying profiles once k leaves the
-    wave cone.
-    """
-    ks = [int(k) for k in k_list]
-    if any(k == 0 for k in ks):
-        raise ValueError("k_list must avoid 0 for a log-log fit")
-    vals = [solve_at(spectrum, params, t_fixed, k, cfg) for k in ks]
-    return fit_decay_exponent([abs(k) for k in ks], vals).exponent

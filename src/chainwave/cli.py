@@ -24,8 +24,7 @@ import numpy as np
 from .asymptotics import (
     classify_ray,
     fit_decay_exponent,
-    fixed_k_asymptote_pinned,
-    fixed_k_asymptote_unpinned,
+    fixed_k_asymptote,
     ray_asymptote,
     ray_geometry,
 )
@@ -87,12 +86,17 @@ class RunConfig:
     output_path: str
 
     @classmethod
-    def from_file(cls, path: str | Path, out_override: str | None = None) -> "RunConfig":
+    def from_file(cls, path: str | Path, command: str, out: str | None = None) -> "RunConfig":
+        """The config at ``path``, run as ``command``; output ``<command>.csv`` by default."""
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        command = raw.get("command", "")
-        output = out_override or raw.get("output_path") or f"{command or 'run'}.csv"
+        if raw.get("command") not in (None, command):
+            raise ValueError(
+                f"config file declares command {raw['command']!r} "
+                f"but {command!r} was requested"
+            )
+        output = out or raw.get("output_path") or f"{command}.csv"
         return cls(command=command, raw=raw, output_path=output)
 
 
@@ -397,15 +401,12 @@ def _cmd_asymptotics(inputs: dict) -> tuple[list, dict, bool]:
 
     if regime == "fixed-k":
         times = sorted(inputs["t_grid"])
-        predictor = (
-            fixed_k_asymptote_pinned if params.pinned else fixed_k_asymptote_unpinned
-        )
         label = "fixed-k-pinned" if params.pinned else "fixed-k-unpinned"
         for k in inputs["k_grid"]:
             scaled = []
             for t in times:
                 exact = solve_at(spectrum, params, t, k, cfg)
-                pred = predictor(spectrum, params, k, t)
+                pred = fixed_k_asymptote(spectrum, params, k, t)
                 res = exact - pred
                 scaled.append(abs(res) * math.sqrt(t))
                 rows.append((label, k, t, exact, pred, res, scaled[-1]))
@@ -570,18 +571,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = RunConfig.from_file(args.config, out_override=args.out)
+        config = RunConfig.from_file(args.config, args.command, args.out)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if config.raw.get("command") not in (None, args.command):
-        print(
-            f"config error: config file declares command "
-            f"{config.raw.get('command')!r} but {args.command!r} was requested",
-            file=sys.stderr,
-        )
-        return 2
-    config.command = args.command
     return run(config)
 
 

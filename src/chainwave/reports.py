@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 
-def _spec(kind: type) -> str:
-    return "%.17g" if issubclass(kind, float) else "%s"
+def _format(v) -> str:
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 class GridRows:
@@ -47,25 +47,17 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     A ``GridRows`` is written one time slice at a time: its t is formatted
     once per slice, and the slice's (k, q) pairs by one ``%`` template
     over the slice's list of floats.  Any other iterable is written one
-    row at a time, each row by one ``%`` template built once per signature
-    of value types.  Both produce the same bytes.
+    value at a time.  Both produce the same bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     if isinstance(rows, GridRows):
         for t, row in zip(rows.times, rows.values.tolist()):
-            prefix = (_spec(type(t)) % t).replace("%", "%%")
+            prefix = _format(t).replace("%", "%%")
             lines.extend(map((prefix + ",%s,%.17g").__mod__, zip(rows.sites, row)))
     else:
-        templates: dict[tuple[type, ...], str] = {}
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(map(_spec, kinds))
-            lines.append(template % row)
+        lines.extend(",".join(map(_format, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -323,7 +323,7 @@ def test_criterion_08_plateau_and_residual_exponent():
     for k in (0, 1, 3):
         residuals = [
             cw.solve_at(spectrum, params, float(t), k, TIGHT)
-            - cw.fixed_k_asymptote_unpinned(spectrum, params, k, float(t))
+            - cw.fixed_k_asymptote(spectrum, params, k, float(t))
             for t in ts
         ]
         exponents.append(cw.envelope_decay_exponent(ts, residuals).exponent)
@@ -349,7 +349,7 @@ def test_criterion_09_pinned_scaled_residual():
     scaled = []
     for t in (1e2, 1e3, 1e4):
         exact = cw.solve_at(spectrum, params, t, 0, TIGHT)
-        pred = cw.fixed_k_asymptote_pinned(spectrum, params, 0, t)
+        pred = cw.fixed_k_asymptote(spectrum, params, 0, t)
         scaled.append(abs(exact - pred) * math.sqrt(t))
     decreasing = all(b < a for a, b in zip(scaled, scaled[1:]))
     ok = decreasing and scaled[-1] <= 0.05

@@ -1,7 +1,9 @@
 """Ray classification/geometry, long-time asymptotes, decay-exponent fits."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -276,8 +278,8 @@ class TestFixedKPinned:
         spectrum = spike()
         t = 37.0
         w0, w0p = PINNED.omega0, PINNED.omega0_prime
-        v0 = asym.fixed_k_asymptote_pinned(spectrum, PINNED, 0, t)
-        v1 = asym.fixed_k_asymptote_pinned(spectrum, PINNED, 1, t)
+        v0 = asym.fixed_k_asymptote(spectrum, PINNED, 0, t)
+        v1 = asym.fixed_k_asymptote(spectrum, PINNED, 1, t)
         acoustic = (v0 + v1) / 2.0
         optical = (v0 - v1) / 2.0
         c1 = math.sqrt(w0 / (2 * math.pi)) / PINNED.omega1
@@ -299,14 +301,14 @@ class TestFixedKPinned:
             s1 * math.sin(t * w0 + math.pi / 4.0)
             + s2 * math.sin(t * w0p - math.pi / 4.0)
         ) / math.sqrt(t)
-        assert asym.fixed_k_asymptote_pinned(spectrum, PINNED, 0, t) == pytest.approx(expected)
+        assert asym.fixed_k_asymptote(spectrum, PINNED, 0, t) == pytest.approx(expected)
 
     def test_scaled_residual_vanishes(self):
         spectrum = spike()
         vals = []
         for t in (1e2, 1e4):
             exact = solver.solve_at(spectrum, PINNED, t, 0, TIGHT)
-            pred = asym.fixed_k_asymptote_pinned(spectrum, PINNED, 0, t)
+            pred = asym.fixed_k_asymptote(spectrum, PINNED, 0, t)
             vals.append(abs(exact - pred) * math.sqrt(t))
         assert vals[1] < vals[0]
         assert vals[1] < 0.05
@@ -318,15 +320,32 @@ class TestFixedKPinned:
         spectrum = model.forward_transform(state)
         assert abs(complex(spectrum.Q(0.0))) < 1e-14
         assert abs(complex(spectrum.Q(math.pi))) < 1e-14
-        assert asym.fixed_k_asymptote_pinned(spectrum, PINNED, 0, 100.0) == 0.0
+        assert asym.fixed_k_asymptote(spectrum, PINNED, 0, 100.0) == 0.0
         ts = np.geomspace(1e2, 1e4, 24)
         res = [abs(solver.solve_at(spectrum, PINNED, float(t), 0, TIGHT)) for t in ts]
         fit = asym.envelope_decay_exponent(ts, res)
         assert fit.exponent > 0.6
 
-    def test_requires_pinning(self):
-        with pytest.raises(ValueError):
-            asym.fixed_k_asymptote_pinned(spike(), UNPINNED, 0, 1.0)
+    def test_values_pinned_bit_for_bit(self):
+        # the two-band formula's evaluation order is fixed: (c1 cos + s1 sin
+        # + optical) / sqrt(t), with both q and p data on both edges
+        state = model.LatticeState(-1, np.array([0.3, -1.2, 0.7]), np.array([0.5, 0.0, -0.4]))
+        spectrum = model.forward_transform(state)
+        params = model.ChainParams(0.7, 1.3)
+        pins = {
+            (0, 1.0): "0x1.854f1d0bb7616p-2",
+            (1, 37.0): "-0x1.370287791a371p-6",
+            (-3, 250.5): "0x1.46b482d80424dp-7",
+            (4, 1e4): "0x1.03613a4d5240cp-12",
+            (7, 3.3e6): "-0x1.022d850881e0ep-11",
+        }
+        for (k, t), value in pins.items():
+            assert asym.fixed_k_asymptote(spectrum, params, k, t) == float.fromhex(value), (k, t)
+
+    def test_requires_positive_time(self):
+        for params in (PINNED, UNPINNED):
+            with pytest.raises(ValueError):
+                asym.fixed_k_asymptote(spike(), params, 0, 0.0)
 
 
 class TestFixedKUnpinned:
@@ -334,13 +353,13 @@ class TestFixedKUnpinned:
         spectrum = spike(q=0.0, p=1.0)
         half = model.ChainParams(0.0, 0.5)
         # P(0) = 1, plateau = 1/(2 * 0.5) = 1
-        value = asym.fixed_k_asymptote_unpinned(spectrum, half, 0, 1e6)
+        value = asym.fixed_k_asymptote(spectrum, half, 0, 1e6)
         assert value == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_plateau_for_balanced_velocities(self):
         state = model.LatticeState(0, np.zeros(2), np.array([1.0, -1.0]))
         spectrum = model.forward_transform(state)
-        v0 = asym.fixed_k_asymptote_unpinned(spectrum, UNPINNED, 0, 1e8)
+        v0 = asym.fixed_k_asymptote(spectrum, UNPINNED, 0, 1e8)
         assert abs(v0) < 1e-3
 
     def test_exact_approaches_plateau(self):
@@ -356,14 +375,48 @@ class TestFixedKUnpinned:
         res = []
         for t in ts:
             exact = solver.solve_at(spectrum, half, float(t), 1, TIGHT)
-            pred = asym.fixed_k_asymptote_unpinned(spectrum, half, 1, float(t))
+            pred = asym.fixed_k_asymptote(spectrum, half, 1, float(t))
             res.append(exact - pred)
         fit = asym.envelope_decay_exponent(ts, res)
         assert 1.3 <= fit.exponent <= 1.7
 
-    def test_requires_unpinned(self):
-        with pytest.raises(ValueError):
-            asym.fixed_k_asymptote_unpinned(spike(), PINNED, 0, 1.0)
+    def test_matches_the_band_top_closed_form(self):
+        # plateau + (-1)^k (Q(pi) cos w + P(pi) sin w / (2 omega1)) / sqrt(pi omega1 t),
+        # w = 2 omega1 t - pi/4: the unpinned chain's own form of the train.
+        # The two forms round apart by ~eps times the size of their terms,
+        # so within 1e-15 where the terms are O(1)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            state = model.LatticeState(-2, rng.normal(size=5), rng.normal(size=5))
+            spectrum = model.forward_transform(state)
+            w1 = rng.uniform(0.1, 3.0)
+            params = model.ChainParams(0.0, w1)
+            q_top, p_top = spectrum.Q(math.pi).real, spectrum.P(math.pi).real
+            plateau = spectrum.P(0.0).real / (2.0 * w1)
+            for k in (0, 1, -4, 9):
+                for t in (0.3, 37.0, 1e5):
+                    w = 2.0 * w1 * t - math.pi / 4.0
+                    train = q_top * math.cos(w) + p_top / (2.0 * w1) * math.sin(w)
+                    amplitude = 1.0 / math.sqrt(math.pi * w1 * t)
+                    expected = plateau + (-1.0) ** k * amplitude * train
+                    size = abs(plateau) + amplitude * (abs(q_top) + abs(p_top) / (2.0 * w1))
+                    got = asym.fixed_k_asymptote(spectrum, params, k, t)
+                    assert got == pytest.approx(expected, rel=0.0, abs=1e-15 * max(1.0, size))
+
+    def test_band_top_train_is_shared_with_the_pinned_chain(self):
+        # half of v(0) - v(1) is the lam = pi train alone; at omega0 = 1e-12
+        # omega0' rounds to 2 omega1, so both chains give the same train
+        # up to the rounding of the pinned chain's large lam = 0 terms
+        state = model.LatticeState(-1, np.array([0.3, -1.2, 0.7]), np.array([0.5, 0.0, -0.4]))
+        spectrum = model.forward_transform(state)
+        for w1 in (0.5, 1.0, 1.7):
+            for t in (3.0, 41.5, 2e4):
+                trains = []
+                for w0 in (1e-12, 0.0):
+                    params = model.ChainParams(w0, w1)
+                    v0, v1 = (asym.fixed_k_asymptote(spectrum, params, k, t) for k in (0, 1))
+                    trains.append((v0 - v1) / 2.0)
+                assert trains[0] == pytest.approx(trains[1], rel=0.0, abs=1e-10)
 
 
 class TestBesselTimeIntegral:
@@ -457,18 +510,26 @@ class TestDecayFits:
             v = solver.solve_at(spectrum, PINNED, 0.5 * k, k, TIGHT)
             assert abs(v) <= 1e-8
 
+    @staticmethod
+    def _spatial_exponent(ks):
+        values = [solver.solve_at(spike(), UNPINNED, 1.0, k, TIGHT) for k in ks]
+        return asym.fit_decay_exponent(ks, values).exponent
+
     def test_fixed_time_superpolynomial_decay(self):
         # trig data at fixed t decays faster than any power: the fitted
         # exponent grows as the window moves out
-        spectrum = spike()
-        inner = asym.spatial_decay_exponent(spectrum, UNPINNED, 1.0, [2, 3, 4], TIGHT)
-        outer = asym.spatial_decay_exponent(spectrum, UNPINNED, 1.0, [5, 6, 7], TIGHT)
+        inner = self._spatial_exponent([2, 3, 4])
+        outer = self._spatial_exponent([5, 6, 7])
         assert outer > inner > 0.0
 
     def test_spatial_exponent_saturated_window(self):
-        spectrum = spike()
-        value = asym.spatial_decay_exponent(spectrum, UNPINNED, 1.0, [40, 60, 80], TIGHT)
-        assert math.isinf(value)
+        assert math.isinf(self._spatial_exponent([40, 60, 80]))
+
+    @pytest.mark.parametrize("xs", [[0, 1, 2], [-1, 1, 2], [1.0, math.nan, 2.0]])
+    def test_refuses_non_positive_x(self, xs, capfd):
+        with pytest.raises(ValueError, match="x > 0"):
+            asym.fit_decay_exponent(xs, [1.0, 0.5, 0.25])
+        assert capfd.readouterr().err == ""
 
     def test_critical_ray_cube_root_scaling(self):
         # degenerate stationary point: envelope of |q_k(beta k)| matches
@@ -482,3 +543,18 @@ class TestDecayFits:
                 worst = max(worst, abs(v) * k ** (1.0 / 3.0))
             peaks.append(worst)
         assert max(peaks) / min(peaks) < 1.35
+
+
+def test_module_imports_no_solver():
+    # the predictions stay independent of the solver they are checked against
+    tree = ast.parse(Path(asym.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+            if node.module is None:  # from . import name
+                modules.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not any("solver" in name.split(".") for name in modules)
+    assert {name for name in modules if name.startswith(".")} == {".model", ".specfun"}

@@ -279,6 +279,16 @@ class TestSimulate:
         cli.main(["simulate", "--config", str(path)])
         assert out.read_bytes() == first
 
+    def test_default_output_is_named_after_the_command_run(self, tmp_path, monkeypatch):
+        # a config without "command" or "output_path" writes <command>.csv
+        monkeypatch.chdir(tmp_path)
+        cfg = base_simulate("unused.csv")
+        del cfg["command"], cfg["output_path"]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        produced = sorted(p.name for p in tmp_path.iterdir() if p != path)
+        assert produced == ["simulate.csv", "simulate.csv.summary.json"]
+
     def test_spacing_is_ignored(self, tmp_path):
         # params.spacing is no longer read: the rows are those without it
         plain = tmp_path / "plain.csv"
@@ -355,6 +365,19 @@ class TestOracleCompare:
         summary = json.loads((tmp_path / "cmp.csv.summary.json").read_text())
         assert summary["pass"] is True
         assert summary["max_residual"] <= 1e-6
+
+    def test_default_oracle_csv_follows_the_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_simulate("unused.csv")
+        del cfg["command"], cfg["output_path"]
+        cfg["t_grid"] = [1.0]
+        cfg["oracle"] = {"radius": 60, "dt": 1e-3}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert cli.main(["oracle-compare", "--config", str(path)]) == 0
+        produced = sorted(p.name for p in tmp_path.iterdir() if p != path)
+        assert produced == [
+            "oracle-compare.csv", "oracle-compare.csv.summary.json", "oracle-compare.oracle.csv"
+        ]
 
     def test_invalid_radius_exits_2(self, tmp_path):
         out = tmp_path / "cmp.csv"
