@@ -363,7 +363,13 @@ def _cmd_oracle_compare(inputs: dict) -> tuple[GridRows, dict, bool]:
 
     grid = solve_grid(inputs["spectrum"], params, times, sites, inputs["solver"])
     snapshots = integrate_snapshots(inputs["state"], params, times, inputs["oracle"])
-    oracle = np.array([[snap.q_at(k) for k in sites] for snap in snapshots])
+    # one slice per snapshot; sites outside its lattice read 0.0
+    k = np.asarray(sites)
+    oracle = np.zeros((len(snapshots), k.size))
+    for row, snap in zip(oracle, snapshots):
+        j = k - snap.support_min
+        inside = (j >= 0) & (j < len(snap.q))
+        row[inside] = snap.q[j[inside]]
     worst = float(np.max(np.abs(grid.values - oracle)))
     oracle_path = inputs["oracle_csv"]
     write_csv(oracle_path, ["t", "k", "q"], GridRows(times, sites, oracle))

@@ -117,8 +117,9 @@ class SolutionGrid:
     def rows(self) -> GridRows:
         """The (t, k, q) rows, t-major and k ascending, q as Python floats.
 
-        The rows object iterates as often as asked; ``write_csv`` formats
-        it a time slice at a time, by the same rule as any other rows.
+        The rows object iterates as often as asked; ``write_csv`` writes
+        it a time slice at a time from one byte matrix, to the bytes the
+        row-at-a-time rule gives.
         """
         return GridRows(self.times, self.sites, self.values)
 
@@ -439,7 +440,8 @@ def solve_grid(
     one lattice solve; a slice whose widest site the route can never take
     has that site's cut checked first, so a state past ``max_mesh`` is
     refused before the sites are deduplicated or any site is tried.  Sites
-    are deduplicated and sorted ascending.
+    are deduplicated and sorted ascending; a ``range``, of any step, is laid
+    out by ``np.arange`` without a Python pass over its sites.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
@@ -464,7 +466,11 @@ def solve_grid(
                 if not _descent_holds(params, t, widest):
                     _lattice_cut(spectrum.power_sum, params, t, widest, cfg)
 
-    site_idx = np.asarray(sorted(set(map(int, sites))))
+    if isinstance(sites, range):
+        ascending = sites if sites.step > 0 else sites[::-1]
+        site_idx = np.arange(ascending.start, ascending.stop, ascending.step)
+    else:
+        site_idx = np.asarray(sorted(set(map(int, sites))))
     if not times or not site_idx.size:
         raise ValueError("times and sites must be non-empty")
 

@@ -753,6 +753,32 @@ class TestSolveGrid:
                 )
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize(
+        "sites",
+        [range(-40, 41), range(40, -41, -1), range(-40, 41, 3), range(41, -40, -3), range(7, 8)],
+    )
+    def test_solve_grid_lays_out_a_range_without_a_pass(self, monkeypatch, sites):
+        # a range, reversed or stepped, gives its list's grid, and its site
+        # set is built without sorted() or set()
+        rng = np.random.default_rng(31)
+        state = model.LatticeState(-3, rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7))
+        spectra = (model.forward_transform(state), bounds.alpha_spectrum(0.3))
+        expected = [solver.solve_grid(s, UNPINNED, [0.0, 6.5], list(sites)) for s in spectra]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sites were walked in Python")
+
+        for name in ("set", "sorted"):
+            monkeypatch.setattr(solver, name, refuse, raising=False)
+        for spectrum, want in zip(spectra, expected):
+            grid = solver.solve_grid(spectrum, UNPINNED, [0.0, 6.5], sites)
+            assert grid.sites == want.sites
+            assert all(type(k) is int for k in grid.sites)
+            np.testing.assert_array_equal(grid.values, want.values)
+        for empty in (range(3, 3), range(0, 5, -1)):
+            with pytest.raises(ValueError, match="non-empty"):
+                solver.solve_grid(spectra[0], UNPINNED, [1.0], empty)
+
     def test_deterministic_row_order(self):
         grid = solver.solve_grid(spike(), UNPINNED, [1.0, 2.0], [3, -3, 0], TIGHT)
         rows = list(grid.rows())
