@@ -42,6 +42,7 @@ from .model import (
     ChainParams,
     LatticeState,
     PowerSum,
+    SolutionGrid,
     SpectralPair,
     dispersion,
     displacement_transform,
@@ -61,7 +62,6 @@ from .oracle import (
 from .quadrature import ConvergenceError
 from .solver import (
     EdgeDominanceWarning,
-    SolutionGrid,
     SolverConfig,
     evolve_spectrum,
     max_norm,

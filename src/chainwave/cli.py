@@ -37,7 +37,7 @@ from .bounds import (
     growth_main_integral_quadrature,
     sqrt_growth_bound,
 )
-from .model import ChainParams, LatticeState, energy, forward_transform
+from .model import ChainParams, LatticeState, SolutionGrid, energy, forward_transform
 from .oracle import (
     MAX_PASS_STEPS,
     MAX_STEP_FREQUENCY,
@@ -46,7 +46,7 @@ from .oracle import (
     required_radius,
 )
 from .quadrature import ConvergenceError, tanh_sinh
-from .reports import GridRows, summary_path_for, write_csv, write_summary
+from .reports import summary_path_for, write_csv, write_summary
 from .solver import SolverConfig, solve_at, solve_grid, windowed_sup
 from .specfun import (
     bohmer_quadrature,
@@ -66,8 +66,8 @@ _COMMANDS = (
 )
 
 
-#: commands whose checks need lattice data; closed forms have singular or
-#: infinite-energy lattice realizations
+#: commands whose checks need lattice data: the oracle, the bounds' norms and
+#: the asymptotes are written for finitely supported states
 _NEEDS_STATE = ("oracle-compare", "bounds-check", "asymptotics")
 
 #: commands that read k_grid
@@ -347,34 +347,32 @@ def _build_oracle_cfg(raw: dict) -> OracleConfig:
     return OracleConfig(radius=radius, dt=_real(o["dt"], "oracle.dt"))
 
 
-def _cmd_simulate(inputs: dict) -> tuple[GridRows, dict, bool]:
+def _cmd_simulate(inputs: dict) -> tuple[SolutionGrid, dict, bool]:
     grid = solve_grid(
         inputs["spectrum"], inputs["params"], inputs["t_grid"], inputs["k_grid"], inputs["solver"]
     )
     summary = {"max_abs_q": float(np.max(np.abs(grid.values))), "rows": grid.values.size}
-    return grid.rows(), summary, True
+    return grid, summary, True
 
 
-def _cmd_oracle_compare(inputs: dict) -> tuple[GridRows, dict, bool]:
+def _cmd_oracle_compare(inputs: dict) -> tuple[SolutionGrid, dict, bool]:
     params = inputs["params"]
     times = sorted(inputs["t_grid"])
-    sites = sorted(set(inputs["k_grid"]))
     tol = inputs["oracle_match"]
 
-    grid = solve_grid(inputs["spectrum"], params, times, sites, inputs["solver"])
+    grid = solve_grid(inputs["spectrum"], params, times, inputs["k_grid"], inputs["solver"])
     snapshots = integrate_snapshots(inputs["state"], params, times, inputs["oracle"])
     # one slice per snapshot; sites outside its lattice read 0.0
-    k = np.asarray(sites)
-    oracle = np.zeros((len(snapshots), k.size))
+    oracle = np.zeros((len(snapshots), grid.sites.size))
     for row, snap in zip(oracle, snapshots):
-        j = k - snap.support_min
+        j = grid.sites - snap.support_min
         inside = (j >= 0) & (j < len(snap.q))
         row[inside] = snap.q[j[inside]]
     worst = float(np.max(np.abs(grid.values - oracle)))
     oracle_path = inputs["oracle_csv"]
-    write_csv(oracle_path, ["t", "k", "q"], GridRows(times, sites, oracle))
+    write_csv(oracle_path, ["t", "k", "q"], SolutionGrid(grid.times, grid.sites, oracle))
     summary = {"max_residual": worst, "oracle_csv": str(oracle_path), "tolerance": tol}
-    return grid.rows(), summary, worst <= tol
+    return grid, summary, worst <= tol
 
 
 def _cmd_bounds_check(inputs: dict) -> tuple[list, dict, bool]:

@@ -1,5 +1,5 @@
-"""Physical parameters, lattice states, spectral pairs and the transforms
-between them for the one-dimensional harmonic chain.
+"""Physical parameters, lattice states, spectral pairs, solution grids and
+the transforms between them for the one-dimensional harmonic chain.
 
 Displacements q_k from the equilibrium positions x_k = k a satisfy
 
@@ -321,3 +321,56 @@ def displacement_transform(state: LatticeState) -> LatticeState:
 def total_velocity_sum(state: LatticeState) -> float:
     """sum_k p_k(0) -- the conserved total momentum of the initial data."""
     return float(np.sum(state.p))
+
+
+@dataclass(frozen=True)
+class SolutionGrid:
+    """q values on a (times x sites) grid; row-major over times.
+
+    ``sites`` is a read-only, strictly ascending int64 array, checked once
+    here: a 1-d array of signed integers, or a list or tuple of them with
+    no bools, which numpy reads as ints.  ``values`` is a read-only float
+    array of shape ``(len(times), len(sites))`` and may hold NaN or
+    infinities.  Iterating yields the ``(t, k, q)`` rows, t-major, k and q
+    as Python numbers, as often as asked.
+    """
+
+    times: tuple
+    sites: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        sites = self.sites
+        if isinstance(sites, (list, tuple)) and any(isinstance(k, (bool, np.bool_)) for k in sites):
+            raise TypeError("grid sites must be integers, not bools")
+        sites = np.asarray(sites)
+        if sites.dtype.kind != "i" or sites.ndim != 1:
+            raise TypeError("grid sites must be a 1-d sequence of integers within int64")
+        sites = sites.astype(np.int64)
+        if np.any(sites[1:] <= sites[:-1]):
+            raise ValueError("grid sites must be strictly ascending")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.times), sites.size):
+            raise ValueError("values must have shape (len(times), len(sites))")
+        for arr in (sites, values):
+            arr.setflags(write=False)
+        object.__setattr__(self, "times", tuple(self.times))
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "values", values)
+
+    def __iter__(self):
+        sites = self.sites.tolist()
+        for t, row in zip(self.times, self.values.tolist()):
+            for k, q in zip(sites, row):
+                yield t, k, q
+
+    def at(self, t_index: int, site: int) -> float:
+        j = int(np.searchsorted(self.sites, site))
+        if j == self.sites.size or self.sites[j] != site:
+            raise ValueError(f"site {site} is not on the grid")
+        return float(self.values[t_index, j])
+
+    def rows(self) -> SolutionGrid:
+        """The grid itself.  Kept only because ``perfbench/workloads.py``
+        writes ``grid.rows()``; a grid is its own rows."""
+        return self

@@ -4,7 +4,7 @@ All floats are written with 17 significant digits so reruns of the same
 config produce byte-identical files.  One rule formats every CSV value:
 floats (numpy's float64 included) as ``%.17g``, everything else as
 ``str``.  It has two producers, and the type of the rows alone picks
-one: a ``GridRows`` is written one time slice at a time from one byte
+one: a ``SolutionGrid`` is written one time slice at a time from one byte
 matrix, any other iterable one row at a time.  The byte matrix holds the
 q values in ``%.17g`` digits found in double-double arithmetic; each
 value whose digits that arithmetic cannot certify is formatted by the
@@ -18,31 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import SolutionGrid
+
 
 def _format(v) -> str:
     return "%.17g" % v if isinstance(v, float) else str(v)
-
-
-class GridRows:
-    """The ``(t, k, q)`` rows of a (times x sites) grid of q values.
-
-    Iterates, as often as asked, t-major with k in the order of ``sites``,
-    yielding each q as a Python float.  ``write_csv`` writes such rows a
-    time slice at a time.  ``sites`` are integers within int64 (Python or
-    numpy signed ints, not bools; ``write_csv`` refuses other sites), and
-    the text of each time holds no NUL character.
-    """
-
-    __slots__ = ("times", "sites", "values")
-
-    def __init__(self, times, sites, values) -> None:
-        self.times, self.sites = times, sites
-        self.values = np.asarray(values, dtype=float)
-
-    def __iter__(self):
-        for t, row in zip(self.times, self.values.tolist()):
-            for k, q in zip(self.sites, row):
-                yield t, k, q
 
 
 # The exponents E = floor(log10 |x|) of the certified band [1e-280, 1e280],
@@ -203,13 +183,10 @@ def _q_words(v: np.ndarray) -> np.ndarray:
     return q
 
 
-def _site_cells(sites) -> np.ndarray:
-    """``str(k)`` of each site: a sign byte, then its digits right-aligned
-    in NUL-padded bytes."""
-    k = np.asarray(sites)
-    if k.size and k.dtype.kind != "i":
-        raise TypeError("GridRows sites must be integers")
-    mag = np.abs(k.astype(np.int64)).view(np.uint64)  # |int64 min| included
+def _site_cells(k: np.ndarray) -> np.ndarray:
+    """``str(k)`` of each int64 site: a sign byte, then its digits
+    right-aligned in NUL-padded bytes."""
+    mag = np.abs(k).view(np.uint64)  # |int64 min| included
     digits = np.maximum(np.searchsorted(_POW10_U64, mag, side="right"), 1)
     width = int(digits.max(initial=1))
     groups = -(-width // 4)
@@ -224,7 +201,7 @@ def _site_cells(sites) -> np.ndarray:
     return cells
 
 
-def _grid_slices(rows: GridRows):
+def _grid_slices(rows: SolutionGrid):
     """The CSV bytes of each time slice of ``rows``: one NUL-padded byte
     matrix ``[t, k, pad | q words]`` with its NULs dropped."""
     sites = _site_cells(rows.sites)
@@ -245,15 +222,16 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows``: floats (numpy's float64 included) as
     ``%.17g``, every other value as ``str``.
 
-    A ``GridRows`` is written one time slice at a time: the slice's t is
-    formatted once, its sites once per call, and its q values at once
+    A ``SolutionGrid`` is written one time slice at a time: the slice's t
+    is formatted once, its sites once per call, and its q values at once
     into a byte matrix (see :func:`_certified_digits`); ``_format`` writes
-    each value the matrix cannot certify.  Any other iterable is written
-    one value at a time.  Both produce the same bytes.
+    each value the matrix cannot certify, and the text of each time must
+    hold no NUL character.  Any other iterable is written one value at a
+    time.  Both produce the same bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(rows, GridRows):
+    if isinstance(rows, SolutionGrid):
         with path.open("w") as f:
             f.write(",".join(header) + "\n")
             for chunk in _grid_slices(rows):

@@ -47,9 +47,8 @@ from typing import Callable
 import numpy as np
 
 from . import model
-from .model import ChainParams, SpectralPair, dispersion
+from .model import ChainParams, SolutionGrid, SpectralPair, dispersion
 from .quadrature import ConvergenceError, certified_mesh, gauss_laguerre, periodic_mesh
-from .reports import GridRows
 from .specfun import bohmer_sine_integral
 
 #: strip half-widths a over which the alias bound is minimized
@@ -91,37 +90,6 @@ class SolverConfig:
             raise ValueError("tolerance must be positive and finite")
         if not self.mesh_points <= self.max_mesh < math.inf:
             raise ValueError("max_mesh must be finite and >= mesh_points")
-
-
-@dataclass(frozen=True)
-class SolutionGrid:
-    """q values on a (times x sites) grid; row-major over times."""
-
-    times: tuple[float, ...]
-    sites: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.times), len(self.sites)):
-            raise ValueError("values must have shape (len(times), len(sites))")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("solution grid contains non-finite values")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def at(self, t_index: int, site: int) -> float:
-        return float(self.values[t_index, self.sites.index(site)])
-
-    def rows(self) -> GridRows:
-        """The (t, k, q) rows, t-major and k ascending, q as Python floats.
-
-        The rows object iterates as often as asked; ``write_csv`` writes
-        it a time slice at a time from one byte matrix, to the bytes the
-        row-at-a-time rule gives.
-        """
-        return GridRows(self.times, self.sites, self.values)
 
 
 def sinc_kernel(t: float, omega: float | np.ndarray) -> float | np.ndarray:
@@ -441,7 +409,8 @@ def solve_grid(
     has that site's cut checked first, so a state past ``max_mesh`` is
     refused before the sites are deduplicated or any site is tried.  Sites
     are deduplicated and sorted ascending; a ``range``, of any step, is laid
-    out by ``np.arange`` without a Python pass over its sites.
+    out by ``np.arange`` without a Python pass over its sites.  A value that
+    is not finite is refused with ``ValueError``.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
@@ -480,12 +449,13 @@ def solve_grid(
             values[i] = _trig_sites(spectrum, params, t, site_idx, cfg)
             continue
         # a refusal, None, is stored as NaN, which the descent route never returns
-        values[i] = [_descent_solve(spectrum, params, t, k, cfg) for k in site_idx.tolist()]
+        values[i] = [_descent_solve(spectrum, params, t, k, cfg) for k in map(int, site_idx)]
         refused = np.flatnonzero(np.isnan(values[i]))
         if refused.size:
             values[i, refused] = _lattice_sites(spectrum, params, t, site_idx[refused], cfg)
-    # the sites' Python ints are built after the meshes are freed
-    return SolutionGrid(tuple(times), tuple(site_idx.tolist()), values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("solution grid contains non-finite values")
+    return SolutionGrid(times, site_idx, values)
 
 
 def max_norm(grid: SolutionGrid, t_index: int) -> float:

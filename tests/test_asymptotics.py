@@ -545,16 +545,32 @@ class TestDecayFits:
         assert max(peaks) / min(peaks) < 1.35
 
 
-def test_module_imports_no_solver():
-    # the predictions stay independent of the solver they are checked against
-    tree = ast.parse(Path(asym.__file__).read_text())
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            modules.add("." * node.level + (node.module or ""))
-            if node.module is None:  # from . import name
-                modules.update("." * node.level + alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-    assert not any("solver" in name.split(".") for name in modules)
-    assert {name for name in modules if name.startswith(".")} == {".model", ".specfun"}
+def package_imports(path: Path) -> set[str]:
+    """The chainwave modules a source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("chainwave." if node.level else "") + (node.module or "")
+            if module.rstrip(".") == "chainwave":  # from . import name
+                dotted = [f"chainwave.{alias.name}" for alias in node.names]
+            else:
+                dotted = [module]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("chainwave."))
+    return found
+
+
+def test_package_import_layers():
+    # the predictions stay independent of the solver they are checked
+    # against, and the solver of the writer that formats its grids
+    table = {
+        "asymptotics": {"model", "specfun"},
+        "solver": {"model", "quadrature", "specfun"},
+        "reports": {"model"},
+    }
+    package = Path(asym.__file__).parent
+    for module, allowed in table.items():
+        assert package_imports(package / f"{module}.py") == allowed, module

@@ -48,29 +48,30 @@ AWKWARD_GRIDS = [
     ),
     ((1e-300,), (-3,), np.array([[-0.0]])),
     ((0.0, 5e-324, 0.7), (5,), np.array([[1e17], [-5e-324], [0.30000000000000004]])),
+    ((0.5,), (-(2**63), 0, 2**63 - 1), np.array([[1.0, -2.0, 0.5]])),
 ]
 
 
 def old_rows(grid):
     """The rows the grid yielded as a generator: t-major, k ascending."""
     for i, t in enumerate(grid.times):
-        for k, q in zip(grid.sites, grid.values[i].tolist()):
+        for k, q in zip(grid.sites.tolist(), grid.values[i].tolist()):
             yield t, k, q
 
 
 @pytest.mark.parametrize("times, sites, values", AWKWARD_GRIDS)
 def test_grid_csv_matches_per_value_formatting(tmp_path, times, sites, values):
-    grid = solver.SolutionGrid(times, sites, values)
+    grid = model.SolutionGrid(times, sites, values)
     expected = "\n".join(["t,k,q"] + [joined(row) for row in old_rows(grid)]) + "\n"
-    reports.write_csv(tmp_path / "slices.csv", ["t", "k", "q"], grid.rows())
+    reports.write_csv(tmp_path / "slices.csv", ["t", "k", "q"], grid)
     # a plain generator over the same rows takes the row-at-a-time path
-    reports.write_csv(tmp_path / "rows.csv", ["t", "k", "q"], (row for row in grid.rows()))
+    reports.write_csv(tmp_path / "rows.csv", ["t", "k", "q"], (row for row in grid))
     assert (tmp_path / "slices.csv").read_text() == expected
     assert (tmp_path / "rows.csv").read_text() == expected
 
 
 def test_grid_rows_of_any_time_type(tmp_path):
-    rows = reports.GridRows(
+    rows = model.SolutionGrid(
         [3, np.float64(0.1), "5%s"], (-1, np.int64(2)), [[1, 2], [0.5, -0.0], [3, 4]]
     )
     reports.write_csv(tmp_path / "slices.csv", ["t", "k", "q"], rows)
@@ -80,27 +81,30 @@ def test_grid_rows_of_any_time_type(tmp_path):
 
 @pytest.mark.parametrize("times, sites, values", AWKWARD_GRIDS)
 def test_grid_rows_iterate_twice_as_before(times, sites, values):
-    grid = solver.SolutionGrid(times, sites, values)
-    rows = grid.rows()
-    first = list(rows)
-    assert first == list(rows) == list(old_rows(grid))
-    assert all(type(q) is float for _, _, q in first)
+    grid = model.SolutionGrid(times, sites, values)
+    first = list(grid)
+    assert first == list(grid) == list(old_rows(grid))
+    assert all(type(k) is int and type(q) is float for _, k, q in first)
 
 
 def test_grid_rows_are_python_floats():
-    grid = solver.SolutionGrid((0.0, 1.5), (-1, 2), np.array([[0.1, -0.0], [1e-20, 3.0]]))
-    rows = list(grid.rows())
+    grid = model.SolutionGrid((0.0, 1.5), (-1, 2), np.array([[0.1, -0.0], [1e-20, 3.0]]))
+    rows = list(grid)
     assert rows == [(0.0, -1, 0.1), (0.0, 2, -0.0), (1.5, -1, 1e-20), (1.5, 2, 3.0)]
-    assert all(type(q) is float for _, _, q in rows)
+    assert all(type(k) is int and type(q) is float for _, k, q in rows)
     assert math.copysign(1.0, rows[1][2]) == -1.0
+    assert grid.at(1, 2) == 3.0
+    for absent in (0, -2, 3):
+        with pytest.raises(ValueError, match="not on the grid"):
+            grid.at(0, absent)
 
 
 def slice_text(tmp_path, values, sites=None):
-    """The q fields of a one-slice GridRows of ``values`` as write_csv writes them."""
+    """The q fields of a one-slice grid of ``values`` as write_csv writes them."""
     values = np.asarray(values, dtype=float)
     sites = range(values.size) if sites is None else sites
     path = tmp_path / "slice.csv"
-    reports.write_csv(path, ["t", "k", "q"], reports.GridRows([0.5], sites, values[None, :]))
+    reports.write_csv(path, ["t", "k", "q"], model.SolutionGrid([0.5], sites, values[None, :]))
     lines = path.read_text().split("\n")
     assert lines[0] == "t,k,q" and lines[-1] == ""
     return [line.split(",")[2] for line in lines[1:-1]]
@@ -193,20 +197,28 @@ def test_grid_bytes_equal_the_row_path(tmp_path_factory, values, slices, kind):
     sites = {
         "int": list(range(3, 3 + width)),
         "int64": [np.int64(k) for k in range(-(width // 2), width - width // 2)],
-        "negative": [-(10**12) - 7 * k for k in range(width)],
+        "negative": [-(10**12) - 7 * k for k in reversed(range(width))],
     }[kind]
     times = [0.25 * i for i in range(slices)]
-    rows = reports.GridRows(times, sites, np.reshape(values, (slices, width)))
+    rows = model.SolutionGrid(times, sites, np.reshape(values, (slices, width)))
     reports.write_csv(tmp_path / "slices.csv", ["t", "k", "q"], rows)
     reports.write_csv(tmp_path / "rows.csv", ["t", "k", "q"], (row for row in rows))
     assert (tmp_path / "slices.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_grid_sites_must_be_integers(tmp_path):
-    for sites in ([0.5, 1.5], [True, False], ["a", "b"]):
+def test_grid_sites_must_be_integers():
+    # refused at construction: numpy reads [True, 2] as int64, [2**63] as
+    # uint64 and [2**64] as objects
+    not_integers = [
+        [0.5, 1.5], [True, False], [True, 2], (1, np.True_), np.array([True, False]),
+        ["a", "b"], np.array([[1, 2]]), [2**63], [2**64], [-(2**63) - 1, 0],
+    ]
+    for sites in not_integers:
         with pytest.raises(TypeError, match="integers"):
-            rows = reports.GridRows([0.0], sites, [[1.0, 2.0]])
-            reports.write_csv(tmp_path / "x.csv", ["t", "k", "q"], rows)
+            model.SolutionGrid([0.0], sites, np.ones((1, np.size(sites))))
+    for sites in ([2, 1], [1, 1], np.array([0, 3, 3])):
+        with pytest.raises(ValueError, match="ascending"):
+            model.SolutionGrid([0.0], sites, np.ones((1, len(sites))))
 
 
 @pytest.mark.parametrize("omega0, t", [(0.0, 1e3), (1.0, 316.0), (2.0, 1778.0)])

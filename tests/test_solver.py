@@ -772,16 +772,23 @@ class TestSolveGrid:
             monkeypatch.setattr(solver, name, refuse, raising=False)
         for spectrum, want in zip(spectra, expected):
             grid = solver.solve_grid(spectrum, UNPINNED, [0.0, 6.5], sites)
-            assert grid.sites == want.sites
-            assert all(type(k) is int for k in grid.sites)
+            np.testing.assert_array_equal(grid.sites, want.sites)
+            np.testing.assert_array_equal(grid.sites, sorted(sites))
+            assert grid.sites.dtype == np.int64 and not grid.sites.flags.writeable
             np.testing.assert_array_equal(grid.values, want.values)
         for empty in (range(3, 3), range(0, 5, -1)):
             with pytest.raises(ValueError, match="non-empty"):
                 solver.solve_grid(spectra[0], UNPINNED, [1.0], empty)
 
+    def test_non_finite_values_are_refused(self, monkeypatch):
+        # a grid may hold NaN (the oracle's rows), a solve may not
+        monkeypatch.setattr(solver, "_trig_sites", lambda *args: np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.solve_grid(spike(), UNPINNED, [1.0], [-1, 0, 1])
+
     def test_deterministic_row_order(self):
         grid = solver.solve_grid(spike(), UNPINNED, [1.0, 2.0], [3, -3, 0], TIGHT)
-        rows = list(grid.rows())
+        rows = list(grid)
         assert [(r[0], r[1]) for r in rows] == [
             (1.0, -3), (1.0, 0), (1.0, 3), (2.0, -3), (2.0, 0), (2.0, 3),
         ]
@@ -807,7 +814,7 @@ class TestSolveGrid:
     def test_csv_round_trip(self, tmp_path):
         grid = solver.solve_grid(spike(), UNPINNED, [0.0, 1.0], [-1, 0, 1], TIGHT)
         out = tmp_path / "grid.csv"
-        reports.write_csv(out, ["t", "k", "q"], grid.rows())
+        reports.write_csv(out, ["t", "k", "q"], grid)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,k,q"
         assert len(lines) == 1 + 2 * 3
