@@ -323,16 +323,28 @@ def total_velocity_sum(state: LatticeState) -> float:
     return float(np.sum(state.p))
 
 
+def site_array(sites) -> np.ndarray:
+    """``sites`` as an int64 array, by the one site rule: a 1-d array of
+    signed integers, or an iterable of ints within int64 and no bools.
+    Anything else, a float, a bool, a string or 2**63, raises ``TypeError``."""
+    if not isinstance(sites, np.ndarray):
+        sites = list(sites)
+        if any(isinstance(k, (bool, np.bool_)) for k in sites):
+            raise TypeError("grid sites must be integers, not bools")
+    sites = np.asarray(sites)
+    if sites.ndim != 1 or sites.size and sites.dtype.kind != "i":
+        raise TypeError("grid sites must be a 1-d sequence of integers within int64")
+    return sites.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SolutionGrid:
     """q values on a (times x sites) grid; row-major over times.
 
-    ``sites`` is a read-only, strictly ascending int64 array, checked once
-    here: a 1-d array of signed integers, or a list or tuple of them with
-    no bools, which numpy reads as ints.  ``values`` is a read-only float
-    array of shape ``(len(times), len(sites))`` and may hold NaN or
-    infinities.  Iterating yields the ``(t, k, q)`` rows, t-major, k and q
-    as Python numbers, as often as asked.
+    ``sites`` is a read-only, strictly ascending int64 array read by
+    ``site_array``; ``values`` a read-only float array of shape ``(len(times),
+    len(sites))`` that may hold NaN or infinities.  Iterating yields the
+    ``(t, k, q)`` rows, t-major, k and q as Python numbers, as often as asked.
     """
 
     times: tuple
@@ -340,13 +352,7 @@ class SolutionGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        sites = self.sites
-        if isinstance(sites, (list, tuple)) and any(isinstance(k, (bool, np.bool_)) for k in sites):
-            raise TypeError("grid sites must be integers, not bools")
-        sites = np.asarray(sites)
-        if sites.dtype.kind != "i" or sites.ndim != 1:
-            raise TypeError("grid sites must be a 1-d sequence of integers within int64")
-        sites = sites.astype(np.int64)
+        sites = site_array(self.sites)
         if np.any(sites[1:] <= sites[:-1]):
             raise ValueError("grid sites must be strictly ascending")
         values = np.array(self.values, dtype=float)

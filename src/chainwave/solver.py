@@ -39,8 +39,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import warnings
-from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Callable
 
@@ -242,11 +242,10 @@ def _trig_route_mesh(
 
 
 def _trig_sites(
-    spectrum: SpectralPair, params: ChainParams, t: float, sites: np.ndarray, cfg: SolverConfig
+    spectrum: SpectralPair, params: ChainParams, t: float, sites: np.ndarray, n: int
 ) -> np.ndarray:
-    """q_k(t) at ``sites`` of a trig pair: one certified mesh, one
+    """q_k(t) at ``sites`` of a trig pair on their certified mesh n: one
     ``_mesh_eval`` and one inverse real FFT, real by construction."""
-    n = _trig_route_mesh(spectrum, params, t, int(np.max(np.abs(sites))), cfg)
     return np.fft.irfft(_mesh_eval(spectrum, params, t, n), n)[np.mod(sites, n)]
 
 
@@ -286,12 +285,13 @@ def _lattice_sites(
     """Real q_k(t) at ``sites`` of a closed form: its lattice state cut by
     ``_lattice_cut`` to half the tolerance, solved by ``_trig_sites`` to
     the other half."""
-    cut = _lattice_cut(spectrum.power_sum, params, t, int(np.max(np.abs(sites))), cfg)
+    k_max = int(np.max(np.abs(sites)))
+    cut = _lattice_cut(spectrum.power_sum, params, t, k_max, cfg)
     half = spectrum.power_sum.coefficients(cut)
     p = np.concatenate([half[:0:-1], half])
     state = SpectralPair(support_min=-cut, q_coeffs=np.zeros_like(p), p_coeffs=p)
     half_cfg = dataclasses.replace(cfg, tolerance=0.5 * cfg.tolerance)
-    return _trig_sites(state, params, t, sites, half_cfg)
+    return _trig_sites(state, params, t, sites, _trig_route_mesh(state, params, t, k_max, half_cfg))
 
 
 @functools.lru_cache(maxsize=8)
@@ -380,17 +380,19 @@ def solve_at(
 
     A trig pair takes the trig route; a closed form takes the descent
     route where it holds and reaches the tolerance, else the lattice one.
-    """
+    k is read by ``model.site_array``."""
     cfg = cfg or SolverConfig()
     if not 0.0 <= t < math.inf:
         raise ValueError("solve_at requires finite t >= 0")
-    route = _trig_sites
-    if spectrum.power_sum is not None:
-        descent = _descent_solve(spectrum, params, t, k, cfg)
-        if descent is not None:
-            return descent
-        route = _lattice_sites
-    return float(route(spectrum, params, t, np.array([k]), cfg)[0])
+    sites = model.site_array([k])
+    k = int(sites[0])
+    if spectrum.power_sum is None:
+        n = _trig_route_mesh(spectrum, params, t, abs(k), cfg)
+        return float(_trig_sites(spectrum, params, t, sites, n)[0])
+    descent = _descent_solve(spectrum, params, t, k, cfg)
+    if descent is not None:
+        return descent
+    return float(_lattice_sites(spectrum, params, t, sites, cfg)[0])
 
 
 def solve_grid(
@@ -405,48 +407,43 @@ def solve_grid(
     On the trig route one half-mesh evaluation plus one inverse real FFT
     per time slice produces every site at once.  A closed form tries each
     site of a slice on the descent route, and the sites it refuses share
-    one lattice solve; a slice whose widest site the route can never take
-    has that site's cut checked first, so a state past ``max_mesh`` is
-    refused before the sites are deduplicated or any site is tried.  Sites
-    are deduplicated and sorted ascending; a ``range``, of any step, is laid
-    out by ``np.arange`` without a Python pass over its sites.  A value that
-    is not finite is refused with ``ValueError``.
+    one lattice solve.  Sites are read by ``model.site_array``, sorted and
+    deduplicated; a ``range``, of any step, is read from its ends and laid
+    out by ``np.arange`` without a Python pass.  Each slice is certified at
+    its widest site, by its trig mesh or, off the descent route, its
+    lattice cut, before the sites are sorted or a range is laid out.  A
+    value that is not finite is refused with ``ValueError``.
     """
     cfg = cfg or SolverConfig()
     times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times):
         raise ValueError("solve_grid requires finite t >= 0")
-
-    if spectrum.power_sum is not None:
-        # a slice whose widest site is off the descent route takes the
-        # lattice route there whatever the rules give: its cut must fit
-        # before the site set is built or any site is solved
-        if not isinstance(sites, Collection):
-            sites = list(sites)
-        if len(sites):
-            # int() keeps the order of the sites, so the widest is an extreme;
-            # a range yields its ends without a Python pass
-            if isinstance(sites, range):
-                ends = (sites[0], sites[-1])
-            else:
-                ends = (min(sites), max(sites))
-            widest = max(abs(int(end)) for end in ends)
-            for t in times:
-                if not _descent_holds(params, t, widest):
-                    _lattice_cut(spectrum.power_sum, params, t, widest, cfg)
+    if isinstance(sites, range):
+        # a range holds only ints, and one past int64 is past any max_mesh below 2^64
+        sites = sites if sites.step > 0 else sites[::-1]
+        widest = max(-sites[0], sites[-1]) if sites else None
+    else:
+        sites = model.site_array(sites)
+        widest = max(-int(sites.min()), int(sites.max())) if sites.size else None
+    if not times or widest is None:
+        raise ValueError("times and sites must be non-empty")
+    if spectrum.power_sum is None:
+        meshes = [_trig_route_mesh(spectrum, params, t, widest, cfg) for t in times]
+    else:
+        for t in times:
+            # the lattice route takes the widest site whatever the rules give
+            if not _descent_holds(params, t, widest):
+                _lattice_cut(spectrum.power_sum, params, t, widest, cfg)
 
     if isinstance(sites, range):
-        ascending = sites if sites.step > 0 else sites[::-1]
-        site_idx = np.arange(ascending.start, ascending.stop, ascending.step)
+        site_idx = np.arange(sites.start, sites.stop, sites.step, dtype=np.int64)
     else:
-        site_idx = np.asarray(sorted(set(map(int, sites))))
-    if not times or not site_idx.size:
-        raise ValueError("times and sites must be non-empty")
-
+        site_idx = np.sort(sites)
+        site_idx = site_idx[np.concatenate(([True], site_idx[1:] != site_idx[:-1]))]
     values = np.empty((len(times), site_idx.size))
     for i, t in enumerate(times):
         if spectrum.power_sum is None:
-            values[i] = _trig_sites(spectrum, params, t, site_idx, cfg)
+            values[i] = _trig_sites(spectrum, params, t, site_idx, meshes[i])
             continue
         # a refusal, None, is stored as NaN, which the descent route never returns
         values[i] = [_descent_solve(spectrum, params, t, k, cfg) for k in map(int, site_idx)]
@@ -490,18 +487,14 @@ def windowed_sup(
 
     The fastest mode travels no faster than omega1, so a window of
     1.1 * omega1 * t + 60 sites keeps the boundary values negligible.  A
-    window whose trig mesh, or the lattice state of whose closed form,
-    would pass ``max_mesh`` is refused before its sites are built.
+    ``window`` that is not a nonnegative integer raises ``ValueError``;
+    ``solve_grid`` refuses one past ``max_mesh`` before building its sites.
     """
-    cfg = cfg or SolverConfig()
     if not 0.0 <= t < math.inf:
         raise ValueError("windowed_sup requires finite t >= 0")
     if window is None:
         window = int(math.ceil(1.1 * params.omega1 * t)) + 60
-    if spectrum.power_sum is None:
-        _trig_route_mesh(spectrum, params, t, window, cfg)
-    else:
-        _lattice_cut(spectrum.power_sum, params, t, window, cfg)
-    sites = range(-window, window + 1)
-    grid = solve_grid(spectrum, params, [t], sites, cfg)
+    elif isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 0:
+        raise ValueError(f"window must be a nonnegative integer, not {window!r}")
+    grid = solve_grid(spectrum, params, [t], range(-window, window + 1), cfg)
     return max_norm(grid, 0)

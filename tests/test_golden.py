@@ -7,7 +7,10 @@ wrote for it.  Regenerate a case from inside ``tests/golden`` with
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,27 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch):
     assert produced == expected
     for name in sorted(expected):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_grid_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, which adds start-up
+    # time and resident memory to every run that solves a grid
+    for case in ("simulate_trig", "oracle_compare"):
+        shutil.copy(GOLDEN / f"{case}.json", tmp_path)
+    script = (
+        "import json, sys\n"
+        "from chainwave import cli\n"
+        "for case in ('simulate_trig', 'oracle_compare'):\n"
+        "    command = json.load(open(case + '.json'))['command']\n"
+        "    assert cli.main([command, '--config', case + '.json']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 #: 30-digit mpmath q_k(t) of the simulate_alpha case (alpha = 0.25,

@@ -213,9 +213,21 @@ def test_grid_sites_must_be_integers():
         [0.5, 1.5], [True, False], [True, 2], (1, np.True_), np.array([True, False]),
         ["a", "b"], np.array([[1, 2]]), [2**63], [2**64], [-(2**63) - 1, 0],
     ]
+    kick = model.forward_transform(model.LatticeState(0, [0.0], [1.0]))
+    params = model.ChainParams(0.0, 1.0)
     for sites in not_integers:
         with pytest.raises(TypeError, match="integers"):
             model.SolutionGrid([0.0], sites, np.ones((1, np.size(sites))))
+        # the solver reads its sites by the same rule
+        with pytest.raises(TypeError, match="integers"):
+            solver.solve_grid(kick, params, [1.0], sites)
+    # and a site k: each entry of those lists that is not an integer
+    for k in (0.5, 1.0, True, np.True_, "a", 2**63, 2**64, -(2**63) - 1):
+        with pytest.raises(TypeError, match="integers"):
+            solver.solve_at(kick, params, 1.0, k)
+    grid = solver.solve_grid(kick, params, [1.0], np.array([3, -2, 0, 3]))
+    assert grid.sites.dtype == np.int64 and grid.sites.tolist() == [-2, 0, 3]
+    assert grid.values[0, 0] == solver.solve_at(kick, params, 1.0, np.int64(-2))
     for sites in ([2, 1], [1, 1], np.array([0, 3, 3])):
         with pytest.raises(ValueError, match="ascending"):
             model.SolutionGrid([0.0], sites, np.ones((1, len(sites))))

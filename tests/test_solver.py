@@ -334,13 +334,20 @@ class TestMeshCap:
 
     def test_windowed_sup_refuses_before_building_sites(self):
         # the default window at t = 1e6 holds 2.2e6 sites; the closed form
-        # is refused before its descent sites, too
+        # is refused before its descent sites, too, and a trig range given
+        # to solve_grid before its site array
         cfg = solver.SolverConfig(max_mesh=4096)
-        for spectrum in (spike(p=1.0), bounds.alpha_spectrum(0.25)):
+        sites = range(-2_200_000, 2_200_001)
+        solves = [
+            lambda: solver.windowed_sup(spike(p=1.0), UNPINNED, 1e6, cfg),
+            lambda: solver.windowed_sup(bounds.alpha_spectrum(0.25), UNPINNED, 1e6, cfg),
+            lambda: solver.solve_grid(spike(p=1.0), UNPINNED, [1e6], sites, cfg),
+        ]
+        for solve in solves:
             tracemalloc.start()
             try:
                 with pytest.raises(ConvergenceError, match=r"max_mesh=4096"):
-                    solver.windowed_sup(spectrum, UNPINNED, 1e6, cfg)
+                    solve()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -583,7 +590,7 @@ class TestStripRate:
         p = np.concatenate([half[:0:-1], half])
         wide = model.SpectralPair(support_min=-2 * cut, q_coeffs=np.zeros_like(p), p_coeffs=p)
         half_cfg = solver.SolverConfig(tolerance=0.5 * cfg.tolerance)
-        ref = solver._trig_sites(wide, params, t, np.array([0]), half_cfg)[0]
+        ref = solver.solve_at(wide, params, t, 0, half_cfg)
         assert abs(solver.solve_at(alpha, params, t, 0, cfg) - ref) < cfg.tolerance
 
 
@@ -849,9 +856,13 @@ class TestMaxNorm:
             solver.max_norm(grid, 0)
 
     def test_windowed_sup_helper(self):
-        value = solver.windowed_sup(spike(), UNPINNED, 5.0, TIGHT)
         expected = max(abs(float(mp.besselj(2 * k, 10))) for k in range(-30, 31))
-        assert value == pytest.approx(expected, abs=1e-10)
+        for window in (None, np.int64(30)):
+            value = solver.windowed_sup(spike(), UNPINNED, 5.0, TIGHT, window)
+            assert value == pytest.approx(expected, abs=1e-10)
+        for window in (-3, 2.5, True, np.True_, "3", 3.0):
+            with pytest.raises(ValueError, match="window"):
+                solver.windowed_sup(spike(), UNPINNED, 5.0, TIGHT, window)
 
 
 class TestSingularRoute:
